@@ -20,11 +20,13 @@ from repro.experiments.executors.base import (
     WorkerOutcome,
     WorkerTask,
 )
+from repro.experiments.executors.inline import InlineBackend
 from repro.experiments.executors.local import LocalPoolBackend
 from repro.experiments.executors.ssh import SshBackend
 from repro.experiments.executors.subproc import SubprocessBackend
 
-#: ``--backend`` choices, in documentation order.
+#: ``--backend`` choices, in documentation order (the in-parent
+#: :class:`InlineBackend` is the supervisor's own fallback, not a choice).
 BACKENDS = ("local", "subprocess", "ssh")
 
 
@@ -53,6 +55,7 @@ __all__ = [
     "ExecutorBackend",
     "ExecutorError",
     "HostUnavailable",
+    "InlineBackend",
     "LOCAL_HOST",
     "LocalPoolBackend",
     "RemoteTaskError",

@@ -6,8 +6,8 @@ executed" from "how failures are retried": the supervisor speaks only to
 an :class:`ExecutorBackend`, and a backend turns one :class:`WorkerTask`
 into a :class:`concurrent.futures.Future` resolving to a
 :class:`WorkerOutcome` — or raising one of the structured executor
-exceptions below, which the supervisor maps onto its existing retry /
-recycle / degrade ladder:
+exceptions below, each of which the supervisor's per-task state machine
+maps to one transition (the table is in docs/SWEEPS.md):
 
 * :class:`TaskCrash` — the worker process died.  The task is requeued and
   charged an attempt (``worker_fate`` *crashed*), but because the crash
@@ -21,8 +21,8 @@ recycle / degrade ladder:
 * :class:`WireProtocolError` — the worker's reply could not be decoded;
   surfaces as a structured retryable failure, never a coordinator crash.
 
-``BrokenExecutor`` keeps its existing meaning — the backend as a whole is
-unusable — and still drives the bounded recycle → degrade-to-serial path.
+``BrokenExecutor`` means the backend as a whole is unusable; it drives the
+bounded recycle, then the swap to the in-parent ``InlineBackend``.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.config.system import SystemConfig
 from repro.sim.engine import SimOptions
@@ -169,36 +169,3 @@ class ExecutorBackend(ABC):
     @abstractmethod
     def shutdown(self) -> None:
         """Release everything; safe to call twice."""
-
-    def healthy(self) -> bool:
-        """Cheap liveness probe: can this backend accept a submit now?"""
-        return True
-
-
-def make_worker_task(
-    *,
-    benchmark: str,
-    version: str,
-    spec_blob: Optional[bytes],
-    system: SystemConfig,
-    options: SimOptions,
-    cache_key: str,
-    cache_dir: Optional[str],
-    sync_cache: bool = True,
-) -> WorkerTask:
-    """Keyword-only constructor, so supervisor call sites stay readable."""
-    return WorkerTask(
-        benchmark=benchmark,
-        version=version,
-        spec_blob=spec_blob,
-        system=system,
-        options=options,
-        cache_key=cache_key,
-        cache_dir=cache_dir,
-        sync_cache=sync_cache,
-    )
-
-
-def memo_delta(outcome: WorkerOutcome) -> Tuple[int, int]:
-    """The outcome's stage-memo (hits, misses) pair, supervisor-shaped."""
-    return (outcome.memo_hits, outcome.memo_misses)

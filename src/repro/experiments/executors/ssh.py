@@ -8,7 +8,7 @@ host, so a dead machine burns zero task retries.  A successful launch
 resets the host's failure count.  When every host is quarantined,
 ``submit`` raises ``BrokenExecutor`` — the supervisor's bounded recycle
 (which resets the quarantine, giving hosts a fresh chance) then applies,
-degrading to in-parent serial execution if the fleet stays dark.
+degrading to in-parent execution if the fleet stays dark.
 
 Remote workers run against their *own* result cache (by default the
 worker machine's standard location — coordinator paths mean nothing
@@ -146,12 +146,8 @@ class SshBackend(SubprocessBackend):
         super().recycle()
         # A recycle is the supervisor's "try again" signal: hosts get a
         # fresh chance, and if the fleet is still dark the next submit
-        # re-breaks until the bounded rebuild budget degrades to serial.
+        # re-breaks until the bounded rebuild budget degrades in-parent.
         with self._host_guard:
             self._quarantined.clear()
             for host in self._failures:
                 self._failures[host] = 0
-
-    def healthy(self) -> bool:
-        with self._host_guard:
-            return any(h not in self._quarantined for h in self.hosts)

@@ -174,9 +174,6 @@ class SubprocessBackend(ExecutorBackend):
             self._threads.shutdown(wait=True, cancel_futures=True)
             self._threads = None
 
-    def healthy(self) -> bool:
-        return True  # children are provisioned per task; nothing to probe
-
     # -- the launcher thread body -------------------------------------------
 
     def _run_child(self, task: WorkerTask, handle: _ChildHandle) -> WorkerOutcome:

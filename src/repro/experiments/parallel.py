@@ -1,34 +1,18 @@
 """Parallel, cache-backed, fault-tolerant execution of the 46x2 sweep.
 
-The sweep is embarrassingly parallel: each (benchmark, version) simulation
-is independent, so this module fans tasks out through a pluggable
-:class:`~repro.experiments.executors.ExecutorBackend` — the default
-``local`` backend is a ``concurrent.futures.ProcessPoolExecutor``;
-``subprocess`` runs each task in its own worker child, and ``ssh`` fans
-the same workers out over remote hosts (``--backend`` / ``--hosts``) —
-and funnels finished results through the persistent
-:class:`~repro.sim.resultcache.ResultCache`.  The coordinator resolves
-cache hits before dispatch and stores (or absorbs, for remote workers
-that ship their cache-entry bytes back) fresh results as workers
-complete.
-
-Most benchmark specs hold closure-based pipeline builders that cannot be
-pickled, so tasks cross the process boundary as ``suite/name`` strings and
-are re-resolved from the registry inside the worker.  Unregistered specs
-(e.g. user-defined benchmarks) are pickled directly when possible and fall
-back to in-parent serial execution otherwise — the sweep always completes.
-
-Tasks also *fail* independently.  A supervisor (see :func:`run_tasks`)
-catches per-future exceptions instead of letting one bad task abort the
-fleet, retries failures with capped exponential backoff, enforces an
-optional per-task wall-clock timeout (hung workers are killed and the pool
-recycled), and recovers from ``BrokenProcessPool`` by rebuilding the pool —
-degrading to in-parent serial execution after repeated breaks.  Whatever
-cannot be completed is reported as a structured :class:`TaskFailure` on the
-returned :class:`SweepMetrics`; everything that did finish is returned and
-cached.  The policy knobs live on :class:`FaultPolicy` and surface on every
-CLI sweep command as ``--max-retries`` / ``--task-timeout`` /
-``--fail-fast`` (see docs/SWEEPS.md).
+:func:`run_tasks` answers what it can from the persistent
+:class:`~repro.sim.resultcache.ResultCache` and hands the rest to one
+supervisor: a per-task state machine (pending, backoff, in-flight, done,
+failed, cancelled) with one dispatch/wait/drain loop over an
+:class:`~repro.experiments.executors.ExecutorBackend` (``local`` process
+pool, ``subprocess`` children or ``ssh`` hosts).  Failed attempts retry
+with capped exponential backoff, a per-task timeout kills hung workers,
+and a broken backend is recycled until the budget is spent; then the
+loop swaps in the in-parent :class:`InlineBackend`, which also serves
+``jobs=1``, single-task batches, unpicklable specs and a failed
+``start``.  Unfinished tasks become :class:`TaskFailure` records; every
+fresh result is returned and cached (a failed cache write is counted,
+never fatal).  The knobs live on :class:`FaultPolicy` (docs/SWEEPS.md).
 """
 
 from __future__ import annotations
@@ -38,30 +22,16 @@ import functools
 import os
 import pickle
 import time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    CancelledError,
-    Executor,
-    Future,
-    wait,
-)
-from dataclasses import dataclass, field
-from typing import (
-    Awaitable,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, CancelledError
+from concurrent.futures import Executor, Future, wait
+from dataclasses import dataclass, field, fields, replace
+from typing import Awaitable, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.config.system import SystemConfig
 from repro.experiments.executors import (
     ExecutorBackend,
     HostUnavailable,
+    InlineBackend,
     RemoteTaskError,
     TaskCrash,
     WireProtocolError,
@@ -73,14 +43,13 @@ from repro.pipeline.transforms import remove_copies
 from repro.sim.engine import SimOptions, simulate
 from repro.sim.memo import stage_memo_snapshot
 from repro.sim.observe.metrics import MetricsRegistry
-from repro.sim.resultcache import ResultCache, cache_key, decode_entry_bytes
+from repro.sim.resultcache import CacheEntry, ResultCache, cache_key, decode_entry_bytes
 from repro.sim.results import SimResult
 from repro.testing.faults import maybe_inject
 from repro.workloads import registry
 from repro.workloads.spec import BenchmarkSpec
 
-#: Patchable sleep seam (tests fake it to observe honored backoffs
-#: without actually waiting).
+#: Sleep seam: tests fake it to observe honored backoffs without waiting.
 _sleep = time.sleep
 
 COPY = "copy"
@@ -92,7 +61,7 @@ VERSIONS = (COPY, LIMITED)
 FATE_ALIVE = "alive"  # worker survived and returned the exception
 FATE_CRASHED = "crashed"  # worker process died (pool broken)
 FATE_TIMED_OUT = "timed-out"  # killed by the supervisor's task timeout
-FATE_IN_PARENT = "in-parent"  # ran serially in the parent process
+FATE_IN_PARENT = "in-parent"  # ran in the parent process (InlineBackend)
 FATE_CANCELLED = "cancelled"  # never ran: abandoned by --fail-fast
 
 
@@ -100,9 +69,7 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     """Normalize a jobs request: None -> 1 (serial), <=0 -> all cores."""
     if jobs is None:
         return 1
-    if jobs <= 0:
-        return os.cpu_count() or 1
-    return jobs
+    return jobs if jobs > 0 else os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -113,18 +80,17 @@ class FaultPolicy:
         max_retries: additional attempts a failing task gets before it is
             reported as a :class:`TaskFailure` (0 = one attempt, no retry).
         task_timeout_s: wall-clock budget for a single pooled simulation;
-            a task exceeding it has its worker killed, the pool recycled,
-            and the task retried (``None`` disables the timeout; in-parent
-            serial execution cannot be interrupted, so the timeout only
-            applies to pool workers).
+            a task exceeding it has its worker killed (the shared pool
+            recycled) and is retried (``None`` disables the timeout;
+            in-parent execution cannot be interrupted).
         fail_fast: stop dispatching new work as soon as any task exhausts
             its retries.  Results already finished (and those of tasks
             still in flight) are kept; undispatched tasks are reported as
             ``cancelled`` failures.
         backoff_base_s: first retry delay; doubles per failed attempt.
         backoff_cap_s: ceiling on the exponential backoff delay.
-        max_pool_rebuilds: ``BrokenProcessPool`` recoveries tolerated
-            before the sweep degrades to in-parent serial execution.
+        max_pool_rebuilds: backend recycles (breaks and timeout
+            teardowns) tolerated before the sweep degrades in-parent.
     """
 
     max_retries: int = 2
@@ -138,10 +104,8 @@ class FaultPolicy:
         """Capped exponential delay before retry number ``failed_attempts``."""
         if self.backoff_base_s <= 0:
             return 0.0
-        return min(
-            self.backoff_base_s * (2 ** max(0, failed_attempts - 1)),
-            self.backoff_cap_s,
-        )
+        delay = self.backoff_base_s * 2 ** max(0, failed_attempts - 1)
+        return min(delay, self.backoff_cap_s)
 
 
 @dataclass(frozen=True)
@@ -168,11 +132,9 @@ class TaskFailure:
 
 
 class SweepError(RuntimeError):
-    """A requested simulation failed after exhausting its retries.
-
-    Raised by :class:`~repro.experiments.runner.SweepRunner` accessors that
-    must return a result; carries the structured failures behind it.
-    """
+    """A requested simulation failed after exhausting its retries; raised by
+    :class:`~repro.experiments.runner.SweepRunner` accessors that must
+    return a result, carrying the structured failures behind it."""
 
     def __init__(self, message: str, failures: Sequence[TaskFailure] = ()):
         super().__init__(message)
@@ -207,25 +169,22 @@ class SweepMetrics:
     serial_estimate_s: float = 0.0
     #: Attempts beyond the first that the fault supervisor scheduled.
     retries: int = 0
-    #: Times the process pool was torn down and rebuilt (worker crash or
-    #: task timeout).
+    #: Backend teardowns and rebuilds (worker crash or task timeout).
     pool_rebuilds: int = 0
-    #: How many sweep invocations this object aggregates (grows via
-    #: :meth:`merge`).
+    #: Sweep invocations this object aggregates (see :meth:`merge`).
     sweeps: int = 1
-    #: Stage-level memoization traffic (repro.sim.memo) of the fresh
-    #: simulations this sweep launched: per-stage memory steps replayed
-    #: instead of recomputed, and steps computed and recorded.  Pool
-    #: workers count their own (per-process) memos; the serial path counts
-    #: the parent's shared memo.
+    #: Stage-memo (repro.sim.memo) steps replayed / computed by the fresh
+    #: simulations of this sweep, counted in whichever process ran them.
     stage_memo_hits: int = 0
     stage_memo_misses: int = 0
-    #: Tasks a *remote worker's* cache answered without simulating
-    #: (subprocess/ssh backends); coordinator-cache hits stay in
-    #: ``cache_hits``.
+    #: Tasks a *remote worker's* cache answered (coordinator-cache hits
+    #: stay in ``cache_hits``).
     remote_cache_hits: int = 0
     #: Fresh results per executor host ("local" for the process pool).
     host_launched: Dict[str, int] = field(default_factory=dict)
+    #: Fresh results kept although writing them to the cache failed
+    #: (``OSError``: full disk, read-only cache directory).
+    store_errors: int = 0
     failures: List[TaskFailure] = field(default_factory=list)
 
     @property
@@ -241,24 +200,19 @@ class SweepMetrics:
         return self.serial_estimate_s / self.wall_s if self.wall_s > 0 else 0.0
 
     def merge(self, other: "SweepMetrics") -> None:
-        self.total += other.total
-        self.launched += other.launched
-        self.cache_hits += other.cache_hits
-        self.memo_hits += other.memo_hits
-        # jobs is a configuration, not a counter: a merged line reports the
-        # widest pool any constituent sweep used.
-        self.jobs = max(self.jobs, other.jobs)
-        self.wall_s += other.wall_s
-        self.serial_estimate_s += other.serial_estimate_s
-        self.retries += other.retries
-        self.pool_rebuilds += other.pool_rebuilds
-        self.sweeps += other.sweeps
-        self.stage_memo_hits += other.stage_memo_hits
-        self.stage_memo_misses += other.stage_memo_misses
-        self.remote_cache_hits += other.remote_cache_hits
-        for host, count in other.host_launched.items():
-            self.host_launched[host] = self.host_launched.get(host, 0) + count
-        self.failures.extend(other.failures)
+        """Fold ``other`` in: counters, times, per-host counts and failures
+        add up; ``jobs`` (a configuration) keeps the widest pool."""
+        for f in fields(self):
+            mine, theirs = getattr(self, f.name), getattr(other, f.name)
+            if f.name == "jobs":
+                self.jobs = max(mine, theirs)
+            elif isinstance(mine, dict):
+                for host, count in theirs.items():
+                    mine[host] = mine.get(host, 0) + count
+            elif isinstance(mine, list):
+                mine.extend(theirs)
+            else:
+                setattr(self, f.name, mine + theirs)
 
     def format_line(self) -> str:
         parts = [
@@ -266,20 +220,13 @@ class SweepMetrics:
             f"{self.launched} simulated",
             f"{self.cache_hits} cache hits",
         ]
-        if self.memo_hits:
-            parts.append(f"{self.memo_hits} memo hits")
-        if self.stage_memo_hits:
-            parts.append(f"{self.stage_memo_hits} stage-memo hits")
-        if self.remote_cache_hits:
-            parts.append(f"{self.remote_cache_hits} worker cache hits")
-        if self.retries:
-            parts.append(f"{self.retries} retries")
-        if self.failures:
-            parts.append(f"{self.failed} failed")
-        line = (
-            f"sweep: {', '.join(parts)} in {self.wall_s:.1f}s "
-            f"[jobs={self.jobs}]"
+        optional = (
+            (self.memo_hits, "memo hits"), (self.stage_memo_hits, "stage-memo hits"),
+            (self.remote_cache_hits, "worker cache hits"), (self.retries, "retries"),
+            (self.failed, "failed"), (self.store_errors, "store errors"),
         )
+        parts += [f"{count} {label}" for count, label in optional if count]
+        line = f"sweep: {', '.join(parts)} in {self.wall_s:.1f}s [jobs={self.jobs}]"
         if self.serial_estimate_s > 0:
             line += f"; serial estimate {self.serial_estimate_s:.1f}s"
             # Merged metrics sum wall times of sweeps that may have run
@@ -299,15 +246,12 @@ def _system_for(
 
 
 def _simulate_version(
-    spec: BenchmarkSpec,
-    version: str,
-    system: SystemConfig,
-    options: SimOptions,
+    spec: BenchmarkSpec, version: str, system: SystemConfig, options: SimOptions
 ) -> Tuple[SimResult, float]:
     start = time.perf_counter()
     # Deterministic fault-injection hook (no-op unless $REPRO_FAULTS is
-    # set): the only seam the robustness tests need, in both the pooled
-    # worker and the in-parent serial path.
+    # set): the only seam the robustness tests need, in every worker and
+    # in the parent alike.
     maybe_inject(spec.full_name, version)
     pipeline = spec.pipeline()
     if version == LIMITED:
@@ -316,57 +260,279 @@ def _simulate_version(
     return result, time.perf_counter() - start
 
 
-def _simulate_with_memo(
-    spec: BenchmarkSpec,
-    version: str,
-    system: SystemConfig,
-    options: SimOptions,
-) -> Tuple[SimResult, float, Tuple[int, int]]:
-    """:func:`_simulate_version` plus the run's stage-memo (hits, misses)."""
-    before = stage_memo_snapshot()
-    result, wall_s = _simulate_version(spec, version, system, options)
-    after = stage_memo_snapshot()
-    return result, wall_s, (after[0] - before[0], after[1] - before[1])
-
-
-def _worker(
-    payload: Tuple[str, Optional[bytes], str, SystemConfig, SimOptions],
-) -> Tuple[str, str, SimResult, float, Tuple[int, int]]:
-    """Top-level (picklable) task body executed in a pool worker."""
-    full_name, spec_blob, version, system, options = payload
-    if spec_blob is None:
-        spec = registry.get(full_name)
-    else:
-        spec = pickle.loads(spec_blob)
-    result, wall_s, memo_delta = _simulate_with_memo(
-        spec, version, system, options
+def execute_task(
+    task: WorkerTask, spec: Optional[BenchmarkSpec] = None, host: Optional[str] = None
+) -> WorkerOutcome:
+    """The one worker body: pool workers, :class:`InlineBackend` (with the
+    live ``spec``) and ``remote_worker`` all run tasks through it.  Without
+    ``spec`` it is re-resolved by name, or unpickled from ``spec_blob``."""
+    if spec is None:
+        blob = task.spec_blob
+        spec = registry.get(task.benchmark) if blob is None else pickle.loads(blob)
+    hits0, misses0 = stage_memo_snapshot()
+    result, wall_s = _simulate_version(spec, task.version, task.system, task.options)
+    hits1, misses1 = stage_memo_snapshot()
+    return WorkerOutcome(
+        task.benchmark, task.version, wall_s, hits1 - hits0, misses1 - misses0, host,
+        result=result,
     )
-    return full_name, version, result, wall_s, memo_delta
 
 
 def _dispatchable(task: SweepTask) -> Optional[bytes]:
-    """How to ship a task's spec to a worker: None means "resolve by name
-    from the registry"; bytes is a pickled unregistered spec.  Raises when
-    the spec cannot be pickled at all (caller runs it in-parent)."""
+    """A worker's ``spec_blob``: None for registry specs (resolved by name),
+    else the pickled spec; raises when it cannot be pickled at all."""
     try:
-        registered = registry.get(task.full_name) is task.spec
+        if registry.get(task.full_name) is task.spec:
+            return None
     except KeyError:
-        registered = False
-    if registered:
-        return None
+        pass
     return pickle.dumps(task.spec)
 
 
-@dataclass
+#: What one failed attempt is charged: (error_type, message, fate, host).
+_Charge = Tuple[str, str, str, Optional[str]]
+_CANCELLED = ("Cancelled", "sweep stopped early (fail-fast)", FATE_CANCELLED, None)
+
+
+def _charge_for(exc: Exception, in_parent: bool) -> Optional[_Charge]:
+    """Map an executor exception to its charge; None means the attempt
+    never ran and is refunded.  docs/SWEEPS.md tabulates this mapping."""
+    if in_parent:
+        return type(exc).__name__, str(exc) or repr(exc), FATE_IN_PARENT, None
+    if isinstance(exc, (CancelledError, HostUnavailable)):
+        return None
+    if isinstance(exc, (BrokenExecutor, TaskCrash)):
+        message = str(exc) or "worker process died"
+        return "WorkerCrash", message, FATE_CRASHED, getattr(exc, "host", None)
+    if isinstance(exc, RemoteTaskError):
+        return exc.error_type, exc.message, FATE_ALIVE, exc.host
+    if isinstance(exc, WireProtocolError):
+        return "WireProtocolError", str(exc), FATE_ALIVE, exc.host
+    return type(exc).__name__, str(exc) or repr(exc), FATE_ALIVE, None
+
+
+@dataclass(eq=False)
 class _TaskState:
-    """Supervisor bookkeeping for one dispatched task."""
+    """Supervisor bookkeeping for one task that missed the cache."""
 
     task: SweepTask
-    key: str
-    spec_blob: Optional[bytes] = None
+    work: WorkerTask
     attempts: int = 0
     ready_at: float = 0.0  # monotonic time when eligible to (re)submit
     started_at: float = 0.0  # monotonic submit time of the current attempt
+
+
+@dataclass
+class _Supervisor:
+    """One sweep's per-task state machine over an :class:`ExecutorBackend`.
+
+    A task is *pending* (queued, ``ready_at`` passed), in *backoff*
+    (queued, ``ready_at`` ahead), *in-flight* (submitted) or terminal:
+    *done* (in ``results``), *failed* or *cancelled* (on
+    ``metrics.failures``).  :meth:`run` is the one dispatch/wait/drain
+    loop; degrading swaps the backend for :attr:`inline`.
+    """
+
+    policy: FaultPolicy
+    metrics: SweepMetrics
+    cache: Optional[ResultCache]
+    registry: Optional[MetricsRegistry]
+    inline: InlineBackend
+    results: Dict[Tuple[str, str], SimResult] = field(default_factory=dict)
+    queue: List[_TaskState] = field(default_factory=list)
+    inflight: Dict[Future, _TaskState] = field(default_factory=dict)
+    backend: ExecutorBackend = field(init=False)
+    workers: int = 1
+    #: Pool breaks *and* timeout teardowns share one bounded budget, so a
+    #: crash- or hang-every-attempt workload degrades instead of looping.
+    recycles: int = 0
+    stop: bool = False  # set once fail-fast trips; no further dispatch
+
+    def record(self, task: SweepTask, result: SimResult) -> None:
+        self.results[(task.full_name, task.version)] = result
+        if self.registry is not None:
+            self.registry.record(task.full_name, task.version, result)
+
+    def _absorb(self, key: str, data: bytes) -> Optional[CacheEntry]:
+        """Decode a remote worker's cache-entry bytes into our cache."""
+        if self.cache is not None:
+            try:
+                return self.cache.absorb(key, data)
+            except OSError:
+                self.metrics.store_errors += 1
+        return decode_entry_bytes(key, data)
+
+    def _complete(self, state: _TaskState, outcome: WorkerOutcome) -> bool:
+        """Record a successful outcome; False if it holds no usable result."""
+        key, result = state.work.cache_key, outcome.result
+        if result is None:
+            data = outcome.entry_bytes
+            entry = None if data is None else self._absorb(key, data)
+            if entry is None:
+                return False
+            result = entry.result
+        elif self.cache is not None:
+            # A full disk or read-only cache costs the entry, never the
+            # result: the sweep keeps it and counts the skipped write.
+            try:
+                self.cache.store(key, result, sim_wall_s=outcome.wall_s)
+            except OSError:
+                self.metrics.store_errors += 1
+        self.record(state.task, result)
+        m = self.metrics
+        m.launched += 1
+        m.remote_cache_hits += int(outcome.cache_hit)
+        if outcome.host is not None:
+            m.host_launched[outcome.host] = m.host_launched.get(outcome.host, 0) + 1
+        m.serial_estimate_s += outcome.wall_s
+        m.stage_memo_hits += outcome.memo_hits
+        m.stage_memo_misses += outcome.memo_misses
+        if self.registry is not None:
+            self.registry.record_stage_memo(outcome.memo_hits, outcome.memo_misses)
+        return True
+
+    def _requeue(self, state: _TaskState, charge: Optional[_Charge]) -> None:
+        """Back into the queue uncharged (``charge`` None: the attempt never
+        ran, or was an innocent victim of a recycle), or charged into
+        backoff; failed once the attempts run out, cancelled at once."""
+        if charge is None:
+            state.attempts -= 1
+            state.ready_at = 0.0
+        elif charge[2] != FATE_CANCELLED and state.attempts <= self.policy.max_retries:
+            self.metrics.retries += 1
+            state.ready_at = time.monotonic() + self.policy.backoff_s(state.attempts)
+        else:
+            error_type, message, fate, host = charge
+            failure = TaskFailure(
+                state.task.full_name, state.task.version, error_type, message,
+                state.attempts, fate, host,
+            )
+            self.metrics.failures.append(failure)
+            if self.registry is not None:
+                self.registry.record_failure(failure)
+            self.stop = self.stop or (self.policy.fail_fast and fate != FATE_CANCELLED)
+            return
+        self.queue.append(state)
+
+    def _drain(self, future: Future, state: _TaskState) -> bool:
+        """Resolve one finished future; True when the backend broke."""
+        try:
+            outcome = future.result()
+        except Exception as exc:
+            in_parent = self.backend is self.inline
+            self._requeue(state, _charge_for(exc, in_parent))
+            return not in_parent and isinstance(exc, BrokenExecutor)
+        if not self._complete(state, outcome):
+            message = "undecodable cache-entry bytes from worker"
+            charge = ("WireProtocolError", message, FATE_ALIVE, outcome.host)
+            self._requeue(state, charge)
+        return False
+
+    def _dispatch(self) -> bool:
+        """Fill free slots with pending tasks; True when the backend broke.
+        At most ``workers`` in flight keeps in-flight == running: timeouts
+        count from a true start, and fail-fast can still cancel the queue."""
+        now = time.monotonic()
+        while not self.stop and len(self.inflight) < self.workers:
+            state = next((s for s in self.queue if s.ready_at <= now), None)
+            if state is None:
+                break
+            self.queue.remove(state)
+            state.attempts += 1
+            state.started_at = time.monotonic()
+            try:
+                future = self.backend.submit(state.work)
+            except (BrokenExecutor, RuntimeError):
+                state.attempts -= 1  # this attempt never ran
+                self.queue.insert(0, state)
+                return True
+            self.inflight[future] = state
+        return False
+
+    def _wait(self) -> bool:
+        """Wait for a future to finish, a timeout to fall due or a backoff to
+        end; drain what finished, then kill and charge attempts past the
+        task timeout.  True when the backend broke."""
+        limit = self.policy.task_timeout_s
+        now = time.monotonic()
+        due = [s.ready_at for s in self.queue if s.ready_at > now]
+        if limit is not None:  # 50 ms past the deadline, so it has passed
+            due += [s.started_at + limit + 0.04 for s in self.inflight.values()]
+        timeout = max(0.0, min(due) - now) + 0.01 if due else None
+        done, _ = wait(set(self.inflight), timeout=timeout, return_when=FIRST_COMPLETED)
+        # Drain every finished future before reacting to any failure:
+        # results already computed are kept whatever their batch-mates did.
+        if any([self._drain(f, self.inflight.pop(f)) for f in done]):
+            return True
+        now, surgical = time.monotonic(), True
+        for future, state in list(self.inflight.items()):
+            if limit is not None and now - state.started_at >= limit:
+                del self.inflight[future]
+                host = self.backend.host_of(future)
+                surgical = self.backend.kill_task(future) and surgical
+                message = f"exceeded task timeout ({limit:g}s)"
+                self._requeue(state, ("TaskTimeout", message, FATE_TIMED_OUT, host))
+        # A shared pool cannot kill one worker, so the whole backend
+        # recycles; in-flight tasks that had not expired go back uncharged.
+        if not surgical:
+            self._recycle(charge_unfinished=False)
+        return False
+
+    def _recycle(self, charge_unfinished: bool) -> None:
+        """Salvage finished futures, charge (or refund) the rest, then
+        recycle the backend, or degrade once the budget is spent."""
+        self.recycles += 1
+        for future, state in list(self.inflight.items()):
+            if future.done():
+                self._drain(future, state)
+            else:
+                message = "worker process died (pool broken)"
+                host = self.backend.host_of(future)
+                charge = ("WorkerCrash", message, FATE_CRASHED, host)
+                self._requeue(state, charge if charge_unfinished else None)
+        self.inflight.clear()
+        if self.recycles > self.policy.max_pool_rebuilds:
+            self._degrade()
+        else:
+            self.metrics.pool_rebuilds += 1
+            self.backend.recycle()
+
+    def _degrade(self) -> None:
+        """Stop trusting the backend: run everything left in the parent."""
+        self.backend.shutdown()
+        self.backend, self.workers = self.inline, 1
+
+    def run(
+        self, states: List[_TaskState], backend: ExecutorBackend, workers: int
+    ) -> None:
+        """Drive ``states`` to terminal states through ``backend``."""
+        self.queue.extend(states)
+        self.backend, self.workers = backend, workers
+        try:
+            try:
+                backend.start(workers)
+            except Exception:
+                self._degrade()  # nothing usable was provisioned
+            while self.queue or self.inflight:
+                if self.stop:  # fail-fast tripped: cancel everything queued
+                    for state in self.queue:
+                        self._requeue(state, _CANCELLED)
+                    self.queue.clear()
+                if self._dispatch() or (self.inflight and self._wait()):
+                    # The culprit is unknowable: charging every unfinished
+                    # attempt bounds a repeat-killer.
+                    self._recycle(charge_unfinished=True)
+                elif self.queue and not self.inflight:
+                    # Everything left is backing off: sleep until the
+                    # earliest is due (the sleep serves its backoff).
+                    state = min(self.queue, key=lambda s: s.ready_at)
+                    delay = state.ready_at - time.monotonic()
+                    if delay > 0:
+                        _sleep(delay)
+                    state.ready_at = 0.0
+        finally:
+            if self.backend is backend:
+                backend.shutdown()
 
 
 def run_tasks(
@@ -384,459 +550,56 @@ def run_tasks(
 ) -> Tuple[Dict[Tuple[str, str], SimResult], SweepMetrics]:
     """Execute a batch of sweep tasks, parallel, cache-aware, fault-tolerant.
 
-    Returns results keyed by ``(full_name, version)`` plus the metrics of
-    this invocation.  With ``jobs`` resolving to 1 the whole batch runs
-    serially in-process (bit-identical to the parallel path — simulations
-    are deterministic and workers run the same code).  With a
-    ``metrics_registry`` every result of the batch — fresh simulation and
-    persistent-cache hit alike — is summarized into it, so sweeps can
-    surface per-benchmark trace summaries without re-running anything.
-
-    ``backend`` selects the execution substrate when the batch pools
-    (``local`` process pool by default; ``subprocess`` for per-task
-    worker children; ``ssh`` to fan out over ``hosts`` — or pass a live
-    :class:`~repro.experiments.executors.ExecutorBackend`).  Fault
-    semantics are backend-independent; ``jobs`` always bounds total
-    in-flight tasks.
-
-    A failing task never aborts the batch: it is retried per ``policy``
-    (default :class:`FaultPolicy`) and, once its retries are exhausted,
-    reported as a :class:`TaskFailure` on ``metrics.failures`` while the
-    rest of the sweep completes.  The returned dict then holds exactly the
-    successful subset, every fresh success already persisted to ``cache``.
+    Returns results keyed by ``(full_name, version)`` (exactly the
+    successful subset, each fresh one already in ``cache`` unless the write
+    failed) plus this invocation's metrics.  ``jobs`` bounds in-flight
+    tasks (1 runs in the parent, bit-identically); ``backend`` picks the
+    substrate when the batch pools (``local``, ``subprocess``, ``ssh`` over
+    ``hosts``, or a live :class:`ExecutorBackend`).  A failing task is
+    retried per ``policy``, then reported on ``metrics.failures``; it
+    never aborts the batch.  ``metrics_registry`` summarizes every result.
     """
     jobs = resolve_jobs(jobs)
-    policy = policy if policy is not None else FaultPolicy()
     metrics = SweepMetrics(total=len(tasks), jobs=jobs)
-    results: Dict[Tuple[str, str], SimResult] = {}
     start = time.perf_counter()
-    stop = False  # set once fail-fast trips; no further dispatch
-
-    def record(task: SweepTask, result: SimResult) -> None:
-        if metrics_registry is not None:
-            metrics_registry.record(task.full_name, task.version, result)
-
-    pending: List[Tuple[SweepTask, str]] = []
+    supervisor = _Supervisor(
+        policy or FaultPolicy(), metrics, cache, metrics_registry,
+        InlineBackend({task.full_name: task.spec for task in tasks}),
+    )
+    # Workers on this machine share the coordinator's cache directory;
+    # the ssh backend rewrites the path for remote filesystems.
+    cache_dir = str(cache.root) if cache is not None else None
+    pending: List[_TaskState] = []
     for task in tasks:
         system = _system_for(task.version, discrete, heterogeneous)
         key = cache_key(task.spec, task.version, system, options)
         entry = cache.load(key) if cache is not None else None
-        if entry is not None:
-            results[(task.full_name, task.version)] = entry.result
-            record(task, entry.result)
-            metrics.cache_hits += 1
-            metrics.serial_estimate_s += entry.sim_wall_s
-        else:
-            pending.append((task, key))
+        if entry is None:
+            work = WorkerTask(
+                task.full_name, task.version, None, system, options, key, cache_dir
+            )
+            pending.append(_TaskState(task, work))
+            continue
+        supervisor.record(task, entry.result)
+        metrics.cache_hits += 1
+        metrics.serial_estimate_s += entry.sim_wall_s
 
-    def finish(
-        task: SweepTask,
-        key: str,
-        result: SimResult,
-        wall_s: float,
-        memo_delta: Tuple[int, int] = (0, 0),
-        *,
-        host: Optional[str] = None,
-        store: bool = True,
-        remote_hit: bool = False,
-    ) -> None:
-        results[(task.full_name, task.version)] = result
-        record(task, result)
-        metrics.launched += 1
-        if remote_hit:
-            metrics.remote_cache_hits += 1
-        if host is not None:
-            metrics.host_launched[host] = metrics.host_launched.get(host, 0) + 1
-        metrics.serial_estimate_s += wall_s
-        metrics.stage_memo_hits += memo_delta[0]
-        metrics.stage_memo_misses += memo_delta[1]
-        if metrics_registry is not None:
-            metrics_registry.record_stage_memo(memo_delta[0], memo_delta[1])
-        if cache is not None and store:
-            cache.store(key, result, sim_wall_s=wall_s)
-
-    def complete(state: _TaskState, outcome: WorkerOutcome) -> bool:
-        """Record one successful :class:`WorkerOutcome`.
-
-        Remote outcomes may carry raw cache-entry bytes instead of a
-        result; the coordinator's cache absorbs them (warm-cache sync).
-        Returns False when the payload was undecodable — the caller
-        requeues the task as a wire-protocol failure.
-        """
-        result = outcome.result
-        stored = False
-        if result is None:
-            entry = None
-            if outcome.entry_bytes is not None:
-                if cache is not None:
-                    entry = cache.absorb(state.key, outcome.entry_bytes)
-                    stored = entry is not None
-                else:
-                    entry = decode_entry_bytes(state.key, outcome.entry_bytes)
-            if entry is None:
-                return False
-            result = entry.result
-        finish(
-            state.task,
-            state.key,
-            result,
-            outcome.wall_s,
-            (outcome.memo_hits, outcome.memo_misses),
-            host=outcome.host,
-            store=not stored,
-            remote_hit=outcome.cache_hit,
-        )
-        return True
-
-    def final_failure(
-        state: _TaskState,
-        error_type: str,
-        message: str,
-        fate: str,
-        host: Optional[str] = None,
-    ) -> None:
-        nonlocal stop
-        failure = TaskFailure(
-            benchmark=state.task.full_name,
-            version=state.task.version,
-            error_type=error_type,
-            message=message,
-            attempts=state.attempts,
-            worker_fate=fate,
-            host=host,
-        )
-        metrics.failures.append(failure)
-        if metrics_registry is not None:
-            metrics_registry.record_failure(failure)
-        if policy.fail_fast and fate != FATE_CANCELLED:
-            stop = True
-
-    local: List[Tuple[SweepTask, str]] = []
-    remote: List[Tuple[SweepTask, str, Optional[bytes]]] = []
-    pool_backend: Optional[ExecutorBackend] = None
+    pooled: List[_TaskState] = []
     if jobs > 1 and len(pending) > 1:
-        pool_backend = create_backend(backend, hosts=hosts)
-        for task, key in pending:
+        for state in pending:
             try:
-                remote.append((task, key, _dispatchable(task)))
+                state.work = replace(state.work, spec_blob=_dispatchable(state.task))
+                pooled.append(state)
             except (pickle.PicklingError, AttributeError, TypeError):
-                # Only genuine can't-pickle errors force in-parent serial
-                # execution; anything else (a registry bug, a broken
-                # __reduce__) must surface instead of silently degrading.
-                local.append((task, key))
-    else:
-        local = pending
-
-    # Workers on this machine share the coordinator's cache directory;
-    # the ssh backend rewrites the path for remote filesystems.
-    worker_cache_dir = str(cache.root) if cache is not None else None
-
-    def worker_task(state: _TaskState, system: SystemConfig) -> WorkerTask:
-        return WorkerTask(
-            benchmark=state.task.full_name,
-            version=state.task.version,
-            spec_blob=state.spec_blob,
-            system=system,
-            options=options,
-            cache_key=state.key,
-            cache_dir=worker_cache_dir,
-        )
-
-    def run_pooled(
-        states: List[_TaskState], backend: ExecutorBackend
-    ) -> List[_TaskState]:
-        """Supervise pooled execution through an executor backend; returns
-        the tasks still unfinished when the backend had to be abandoned
-        (degrade-to-serial)."""
-        nonlocal stop
-        workers = min(jobs, len(states))
-        ready: List[_TaskState] = list(states)
-        waiting: List[_TaskState] = []
-        inflight: Dict[Future, _TaskState] = {}
-        try:
-            backend.start(workers)
-        except Exception:
-            return states  # nothing provisioned; run everything in-parent
-        # Pool breaks *and* timeout teardowns share one bounded recycle
-        # budget: a workload that crashes or hangs every attempt must
-        # degrade to serial, not recycle executors forever.
-        recycles = 0
-
-        def requeue(
-            state: _TaskState,
-            error_type: str,
-            message: str,
-            fate: str,
-            host: Optional[str] = None,
-        ) -> None:
-            if state.attempts > policy.max_retries:
-                final_failure(state, error_type, message, fate, host=host)
-                return
-            metrics.retries += 1
-            state.ready_at = time.monotonic() + policy.backoff_s(state.attempts)
-            waiting.append(state)
-
-        def requeue_free(state: _TaskState) -> None:
-            """Requeue an innocent victim of a backend recycle (or of an
-            unreachable host), uncharged."""
-            state.attempts -= 1
-            state.ready_at = 0.0
-            waiting.append(state)
-
-        def drain_finished(future: Future, state: _TaskState) -> bool:
-            """Resolve one completed future; True when the backend broke."""
-            try:
-                outcome = future.result()
-            except BrokenExecutor as exc:
-                requeue(
-                    state,
-                    "WorkerCrash",
-                    str(exc) or "worker process died",
-                    FATE_CRASHED,
-                )
-                return True
-            except CancelledError:
-                requeue_free(state)
-            except HostUnavailable:
-                # The backend quarantined the host; the task never ran
-                # there, so it resubmits uncharged (to a surviving host).
-                requeue_free(state)
-            except TaskCrash as exc:
-                requeue(
-                    state,
-                    "WorkerCrash",
-                    str(exc) or "worker process died",
-                    FATE_CRASHED,
-                    host=exc.host,
-                )
-            except RemoteTaskError as exc:
-                requeue(
-                    state, exc.error_type, exc.message, FATE_ALIVE, host=exc.host
-                )
-            except WireProtocolError as exc:
-                requeue(
-                    state, "WireProtocolError", str(exc), FATE_ALIVE, host=exc.host
-                )
-            except Exception as exc:
-                requeue(
-                    state,
-                    type(exc).__name__,
-                    str(exc) or repr(exc),
-                    FATE_ALIVE,
-                )
-            else:
-                if not complete(state, outcome):
-                    requeue(
-                        state,
-                        "WireProtocolError",
-                        "undecodable cache-entry bytes from worker",
-                        FATE_ALIVE,
-                        host=outcome.host,
-                    )
-            return False
-
-        def salvage_and_recycle(charge_unfinished: bool) -> bool:
-            """Drain finished in-flight futures, refund (or charge) the
-            rest, and recycle the backend.  Returns False once the
-            recycle budget is spent (the caller degrades to serial)."""
-            nonlocal recycles
-            recycles += 1
-            for future, state in list(inflight.items()):
-                if future.done():
-                    drain_finished(future, state)
-                elif charge_unfinished:
-                    requeue(
-                        state,
-                        "WorkerCrash",
-                        "worker process died (pool broken)",
-                        FATE_CRASHED,
-                        host=backend.host_of(future),
-                    )
-                else:
-                    requeue_free(state)
-            inflight.clear()
-            if recycles > policy.max_pool_rebuilds:
-                return False
-            metrics.pool_rebuilds += 1
-            backend.recycle()
-            return True
-
-        try:
-            while ready or waiting or inflight:
-                now = time.monotonic()
-                if stop:
-                    for state in ready + waiting:
-                        final_failure(
-                            state,
-                            "Cancelled",
-                            "sweep stopped early (fail-fast)",
-                            FATE_CANCELLED,
-                        )
-                    ready, waiting = [], []
-                    if not inflight:
-                        break
-                else:
-                    still_waiting: List[_TaskState] = []
-                    for state in waiting:
-                        if state.ready_at <= now:
-                            ready.append(state)
-                        else:
-                            still_waiting.append(state)
-                    waiting = still_waiting
-
-                # Keep in-flight == running: submitting at most ``workers``
-                # tasks makes started_at the true start time (exact timeout
-                # accounting) and leaves queued work supervisor-side where
-                # fail-fast can actually cancel it.
-                broken = False
-                while ready and len(inflight) < workers and not stop:
-                    state = ready.pop(0)
-                    system = _system_for(
-                        state.task.version, discrete, heterogeneous
-                    )
-                    state.attempts += 1
-                    state.started_at = time.monotonic()
-                    try:
-                        future = backend.submit(worker_task(state, system))
-                    except (BrokenExecutor, RuntimeError):
-                        state.attempts -= 1  # this attempt never ran
-                        ready.insert(0, state)
-                        broken = True
-                        break
-                    inflight[future] = state
-
-                if inflight and not broken:
-                    now = time.monotonic()
-                    timeout: Optional[float] = None
-                    if policy.task_timeout_s is not None:
-                        earliest = min(s.started_at for s in inflight.values())
-                        timeout = (
-                            max(0.0, earliest + policy.task_timeout_s - now)
-                            + 0.05
-                        )
-                    if waiting:
-                        wake = max(
-                            0.0, min(s.ready_at for s in waiting) - now
-                        ) + 0.01
-                        timeout = wake if timeout is None else min(timeout, wake)
-                    done, _ = wait(
-                        set(inflight),
-                        timeout=timeout,
-                        return_when=FIRST_COMPLETED,
-                    )
-                    # Drain every finished future before reacting to any
-                    # failure: results that are already computed must be
-                    # recorded and cached no matter what their batch-mates
-                    # did (the pre-supervisor code lost them).
-                    for future in done:
-                        state = inflight.pop(future)
-                        if drain_finished(future, state):
-                            broken = True
-                elif not inflight and waiting and not stop and not broken:
-                    delay = max(
-                        0.0, min(s.ready_at for s in waiting) - time.monotonic()
-                    )
-                    if delay:
-                        _sleep(delay)
-                    continue
-
-                if broken:
-                    # The backend is gone: salvage any future that
-                    # completed with a real result, charge the rest one
-                    # attempt each (the crashing task cannot be identified,
-                    # and charging everyone bounds a repeat-killer), then
-                    # recycle — or degrade to in-parent serial after
-                    # repeated breaks.
-                    if not salvage_and_recycle(charge_unfinished=True):
-                        return ready + waiting
-                    continue
-
-                if policy.task_timeout_s is not None and inflight:
-                    now = time.monotonic()
-                    expired = [
-                        (future, state)
-                        for future, state in inflight.items()
-                        if now - state.started_at >= policy.task_timeout_s
-                    ]
-                    if expired:
-                        surgical = True
-                        for future, state in expired:
-                            del inflight[future]
-                            host = backend.host_of(future)
-                            if not backend.kill_task(future):
-                                surgical = False
-                            requeue(
-                                state,
-                                "TaskTimeout",
-                                f"exceeded task timeout "
-                                f"({policy.task_timeout_s:g}s)",
-                                FATE_TIMED_OUT,
-                                host=host,
-                            )
-                        # Backends with per-task children kill just the
-                        # hung worker; a shared pool cannot, so the whole
-                        # backend recycles — in-flight tasks that had not
-                        # expired are innocent and requeue uncharged.  The
-                        # teardown draws on the same bounded budget as a
-                        # break: a hang-every-attempt workload degrades to
-                        # serial instead of recycling pools forever.
-                        if not surgical:
-                            if not salvage_and_recycle(charge_unfinished=False):
-                                return ready + waiting
-            return []
-        finally:
-            backend.shutdown()
-
-    def run_serial(states: List[_TaskState]) -> None:
-        for state in states:
-            if stop:
-                final_failure(
-                    state,
-                    "Cancelled",
-                    "sweep stopped early (fail-fast)",
-                    FATE_CANCELLED,
-                )
-                continue
-            system = _system_for(state.task.version, discrete, heterogeneous)
-            # A task that degraded out of the pool mid-retry still owes
-            # its backoff (ready_at); honor it instead of hot-looping the
-            # retry the pool had deliberately delayed.
-            pending_backoff = state.ready_at - time.monotonic()
-            if pending_backoff > 0:
-                _sleep(pending_backoff)
-            while True:
-                state.attempts += 1
-                try:
-                    result, wall_s, memo_delta = _simulate_with_memo(
-                        state.task.spec, state.task.version, system, options
-                    )
-                except Exception as exc:
-                    if state.attempts > policy.max_retries:
-                        final_failure(
-                            state,
-                            type(exc).__name__,
-                            str(exc) or repr(exc),
-                            FATE_IN_PARENT,
-                        )
-                        break
-                    metrics.retries += 1
-                    delay = policy.backoff_s(state.attempts)
-                    if delay:
-                        _sleep(delay)
-                else:
-                    finish(state.task, state.key, result, wall_s, memo_delta)
-                    break
-
-    serial_states = [_TaskState(task, key) for task, key in local]
-    if remote and pool_backend is not None:
-        remote_states = [
-            _TaskState(task, key, blob) for task, key, blob in remote
-        ]
-        serial_states = run_pooled(remote_states, pool_backend) + serial_states
-    run_serial(serial_states)
-
+                # Only genuine can't-pickle errors run in-parent; anything
+                # else (a registry bug, a broken __reduce__) must surface.
+                pass
+        if pooled:
+            pool = create_backend(backend, hosts=hosts)
+            supervisor.run(pooled, pool, min(jobs, len(pooled)))
+    supervisor.run([s for s in pending if s not in pooled], supervisor.inline, 1)
     metrics.wall_s = time.perf_counter() - start
-    return results, metrics
+    return supervisor.results, metrics
 
 
 #: Signature of the optional progress hook of :func:`run_tasks_async`:
@@ -861,58 +624,26 @@ async def run_tasks_async(
     chunk_size: Optional[int] = None,
     progress: Optional[ProgressHook] = None,
 ) -> Tuple[Dict[Tuple[str, str], SimResult], SweepMetrics]:
-    """Asyncio-facing :func:`run_tasks`: the submission API ``repro serve``
-    dispatches through.
-
-    The batch runs in ``executor`` (default: the loop's default thread
-    pool) so the event loop stays responsive while simulations fan out
-    over the process pool; semantics — caching, retries, structured
-    :class:`TaskFailure` reports — are exactly those of :func:`run_tasks`.
-
-    With ``chunk_size`` the batch is split into sequential sub-batches
-    and ``progress`` is awaited after each one, which is how a server
-    streams per-job progress events; without it the whole batch is one
-    call (one pool spin-up — cheapest, but no intermediate progress).
-    Chunked metrics are merged, so counters (launched, cache hits,
-    failures, retries) cover the whole batch either way.
-    """
+    """:func:`run_tasks` in ``executor`` (default: the loop's thread pool),
+    the submission API of ``repro serve``.  ``chunk_size`` splits the batch
+    into sequential sub-batches, awaiting ``progress`` after each; their
+    metrics are merged, so counters cover the whole batch."""
     loop = asyncio.get_running_loop()
+    run = functools.partial(
+        run_tasks, discrete=discrete, heterogeneous=heterogeneous, options=options,
+        jobs=jobs, cache=cache, metrics_registry=metrics_registry, policy=policy,
+        backend=backend, hosts=hosts,
+    )
     tasks = list(tasks)
-    if chunk_size is None or chunk_size <= 0 or chunk_size >= len(tasks):
-        chunks = [tasks] if tasks else []
-    else:
-        chunks = [
-            tasks[i : i + chunk_size] for i in range(0, len(tasks), chunk_size)
-        ]
-
+    size = chunk_size if chunk_size and chunk_size > 0 else max(1, len(tasks))
     results: Dict[Tuple[str, str], SimResult] = {}
-    combined: Optional[SweepMetrics] = None
-    completed = 0
-    for chunk in chunks:
-        part, metrics = await loop.run_in_executor(
-            executor,
-            functools.partial(
-                run_tasks,
-                chunk,
-                discrete=discrete,
-                heterogeneous=heterogeneous,
-                options=options,
-                jobs=jobs,
-                cache=cache,
-                metrics_registry=metrics_registry,
-                policy=policy,
-                backend=backend,
-                hosts=hosts,
-            ),
-        )
+    combined = SweepMetrics(total=0, jobs=resolve_jobs(jobs), sweeps=0)
+    for first in range(0, len(tasks), size):
+        chunk = tasks[first : first + size]
+        part, metrics = await loop.run_in_executor(executor, run, chunk)
         results.update(part)
-        if combined is None:
-            combined = metrics
-        else:
-            combined.merge(metrics)
-        completed += len(chunk)
+        combined.merge(metrics)
         if progress is not None:
-            await progress(completed, len(tasks), combined)
-    if combined is None:
-        combined = SweepMetrics(total=0, jobs=resolve_jobs(jobs))
+            await progress(first + len(chunk), len(tasks), combined)
+    combined.sweeps = max(1, combined.sweeps)
     return results, combined

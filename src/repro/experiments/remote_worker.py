@@ -23,9 +23,9 @@ warm for the next run.
 from __future__ import annotations
 
 import os
-import pickle
 import socket
 import sys
+from dataclasses import replace
 
 from repro.experiments.executors.base import (
     AUTO_CACHE_DIR,
@@ -47,21 +47,15 @@ EXIT_BAD_TASK = 65  # EX_DATAERR
 
 def run_task(task: WorkerTask, host: str) -> bytes:
     """Execute one decoded task; returns the encoded reply document."""
-    from repro.experiments.parallel import _simulate_with_memo
+    from repro.experiments.parallel import execute_task
     from repro.sim.resultcache import ResultCache
-    from repro.workloads import registry
 
     try:
-        if task.spec_blob is not None:
-            spec = pickle.loads(task.spec_blob)
-        else:
-            spec = registry.get(task.benchmark)
         cache = None
         if task.cache_dir:
             cache = ResultCache(
                 None if task.cache_dir == AUTO_CACHE_DIR else task.cache_dir
             )
-        if cache is not None:
             entry = cache.load(task.cache_key)
             if entry is not None:
                 sync_bytes = None
@@ -81,26 +75,12 @@ def run_task(task: WorkerTask, host: str) -> bytes:
                         result=None if sync_bytes is not None else entry.result,
                     )
                 )
-        result, wall_s, memo_delta = _simulate_with_memo(
-            spec, task.version, task.system, task.options
-        )
-        entry_bytes = None
+        outcome = execute_task(task, host=host)
         if cache is not None:
-            path = cache.store(task.cache_key, result, sim_wall_s=wall_s)
+            path = cache.store(task.cache_key, outcome.result, sim_wall_s=outcome.wall_s)
             if task.sync_cache:
-                entry_bytes = path.read_bytes()
-        return encode_outcome(
-            WorkerOutcome(
-                benchmark=task.benchmark,
-                version=task.version,
-                wall_s=wall_s,
-                memo_hits=memo_delta[0],
-                memo_misses=memo_delta[1],
-                host=host,
-                result=None if entry_bytes is not None else result,
-                entry_bytes=entry_bytes,
-            )
-        )
+                outcome = replace(outcome, result=None, entry_bytes=path.read_bytes())
+        return encode_outcome(outcome)
     except Exception as exc:  # a typed failure reply, never a dead worker
         return encode_error(
             task.benchmark,
