@@ -8,7 +8,8 @@ one structured per-host ``WorkerCrash`` failure, and exit 3 (partial)
 from the CLI.  A second, fault-free pass must be answered almost entirely
 from the coordinator cache that the *workers* filled (warm-cache
 synchronization), and spot-checked results must be byte-identical to the
-local pool backend's.
+local pool backend's — both those and the ones a cacheless subprocess
+sweep returns as entry bytes its workers encode in memory.
 """
 
 from __future__ import annotations
@@ -123,21 +124,35 @@ def main_check() -> None:
         f"({warm_metrics.cache_hits}/{total})",
     )
 
+    # No cache anywhere: every worker encodes its reply's entry bytes in
+    # memory and the coordinator only decodes them.
+    spot_specs = [get(name) for name in IDENTITY_SPOT_CHECK]
+    cacheless = SweepRunner(
+        options=SimOptions(scale=SCALE, seed=0), parallel=4, backend="subprocess"
+    )
+    cacheless.sweep(spot_specs)
+    cacheless_metrics = cacheless.last_metrics
+    check(
+        not cacheless_metrics.failures
+        and cacheless_metrics.launched == 2 * len(spot_specs),
+        f"cacheless pass simulated all {2 * len(spot_specs)} spot-check runs",
+    )
+
     # Result identity: the distributed results must be byte-identical to
     # the local pool's for the spot-check benchmarks.
     local = SweepRunner(
         options=SimOptions(scale=SCALE, seed=0), parallel=4, backend="local"
     )
-    for name in IDENTITY_SPOT_CHECK:
-        spec = get(name)
+    for spec in spot_specs:
         pair = local.pair(spec)
         for version, reference in ((COPY, pair.copy), (LIMITED, pair.limited)):
-            distributed = warm.try_result(spec, version)
-            check(
-                distributed is not None
-                and results_identical(distributed, reference),
-                f"{name}:{version} identical across backends",
-            )
+            for label, source in (("warm", warm), ("cacheless", cacheless)):
+                distributed = source.try_result(spec, version)
+                check(
+                    distributed is not None
+                    and results_identical(distributed, reference),
+                    f"{spec.full_name}:{version} ({label}) identical across backends",
+                )
     print("distributed_sweep_check: all assertions passed")
 
 

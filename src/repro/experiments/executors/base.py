@@ -1,13 +1,14 @@
 """Executor backend protocol for the sweep supervisor.
 
-The fault supervisor in :mod:`repro.experiments.parallel` used to own a
-``ProcessPoolExecutor`` outright.  This package splits "how a task gets
-executed" from "how failures are retried": the supervisor speaks only to
-an :class:`ExecutorBackend`, and a backend turns one :class:`WorkerTask`
+This package splits "how a task gets executed" from "how failures are
+retried": the supervisor in :mod:`repro.experiments.parallel` speaks only
+to an :class:`ExecutorBackend`, and a backend turns one :class:`WorkerTask`
 into a :class:`concurrent.futures.Future` resolving to a
-:class:`WorkerOutcome` — or raising one of the structured executor
-exceptions below, each of which the supervisor's per-task state machine
-maps to one transition (the table is in docs/SWEEPS.md):
+:class:`WorkerOutcome` — the live result from an in-process backend, the
+result's cache-entry bytes from a wire backend — or raising one of the
+structured executor exceptions below, each of which the supervisor's
+per-task state machine maps to one transition (the table is in
+docs/SWEEPS.md):
 
 * :class:`TaskCrash` — the worker process died.  The task is requeued and
   charged an attempt (``worker_fate`` *crashed*), but because the crash
@@ -54,9 +55,7 @@ class WorkerTask:
     re-resolves ``benchmark`` by name) or a pickled spec otherwise.
     ``cache_dir`` names the result cache the *worker* should consult and
     fill (``None`` = no worker-side cache, :data:`AUTO_CACHE_DIR` = the
-    worker's default location); with ``sync_cache`` the worker ships its
-    stored cache-entry bytes back so the coordinator's cache can absorb
-    them (warm-cache synchronization).
+    worker's default location).
     """
 
     benchmark: str
@@ -66,19 +65,18 @@ class WorkerTask:
     options: SimOptions
     cache_key: str
     cache_dir: Optional[str] = None
-    sync_cache: bool = True
 
 
 @dataclass(frozen=True)
 class WorkerOutcome:
     """One finished task, as every backend reports it.
 
-    Exactly one of ``result`` / ``entry_bytes`` may be ``None``: local
-    backends return the live :class:`SimResult`; remote workers with a
-    cache return the content-addressed cache-entry bytes instead (the
-    coordinator absorbs them — one decode, zero re-encodes), and remote
-    workers without a cache return the decoded result.  ``cache_hit``
-    marks outcomes the *worker's* cache answered without simulating.
+    Exactly one of ``result`` / ``entry_bytes`` is set: in-process
+    backends (the local pool, inline) return the live :class:`SimResult`;
+    wire backends return the result's cache-entry bytes, which the
+    coordinator's cache absorbs verbatim (warm-cache synchronization).
+    ``cache_hit`` marks outcomes the *worker's* cache answered without
+    simulating.
     """
 
     benchmark: str

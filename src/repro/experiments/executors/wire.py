@@ -8,10 +8,10 @@ Encoding reuses :func:`repro.sim.resultcache.canonical` (dataclasses →
 field dicts, enums → values), which already covers every config object;
 decoding rebuilds the typed dataclasses generically from their field
 annotations, so new ``SystemConfig``/``SimOptions`` fields never need
-hand-written codec updates.  Results travel either as raw content-addressed
-cache-entry bytes (base64; the coordinator's cache absorbs them verbatim —
-warm-cache synchronization) or, for cacheless workers, as a lossless
-``repro.sim_result/v2-full`` dict.
+hand-written codec updates.  A result travels only as the bytes of its
+cache entry (:func:`repro.sim.resultcache.encode_entry_bytes`, base64 on
+the wire), so the coordinator's cache absorbs it verbatim — warm-cache
+synchronization — and the entry format has one codec for disk and wire.
 
 Anything malformed — truncated stdout, non-JSON garbage, a foreign schema,
 a field of the wrong shape — decodes to :class:`WireProtocolError`, which
@@ -31,8 +31,6 @@ from typing import Any, Dict, Optional, Type, TypeVar, Union
 from repro.config.system import SystemConfig
 from repro.sim.engine import SimOptions
 from repro.sim.resultcache import canonical
-from repro.sim.results import SimResult
-from repro.sim.serialize import result_from_dict, result_to_full_dict
 
 from repro.experiments.executors.base import (
     WireProtocolError,
@@ -127,7 +125,6 @@ def encode_task(task: WorkerTask) -> bytes:
         "options": canonical(task.options),
         "cache_key": task.cache_key,
         "cache_dir": task.cache_dir,
-        "sync_cache": task.sync_cache,
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
@@ -162,7 +159,6 @@ def decode_task(data: bytes) -> WorkerTask:
         options=decode_typed(SimOptions, payload.get("options")),
         cache_key=str(cache_key),
         cache_dir=payload.get("cache_dir"),
-        sync_cache=bool(payload.get("sync_cache", True)),
     )
 
 
@@ -170,7 +166,9 @@ def decode_task(data: bytes) -> WorkerTask:
 
 
 def encode_outcome(outcome: WorkerOutcome) -> bytes:
-    """Serialize a successful task's reply."""
+    """Serialize a successful task's reply (its ``entry_bytes``)."""
+    if outcome.entry_bytes is None:
+        raise ValueError("a wire reply carries the result as entry bytes")
     payload: Dict[str, Any] = {
         "schema": RESULT_SCHEMA,
         "ok": True,
@@ -181,15 +179,8 @@ def encode_outcome(outcome: WorkerOutcome) -> bytes:
         "memo_misses": outcome.memo_misses,
         "host": outcome.host,
         "cache_hit": outcome.cache_hit,
+        "entry_b64": _b64(outcome.entry_bytes),
     }
-    if outcome.entry_bytes is not None:
-        # The cache-entry bytes *are* the result (content-addressed under
-        # the task's cache key); no second encoding of the SimResult.
-        payload["entry_b64"] = _b64(outcome.entry_bytes)
-    elif outcome.result is not None:
-        payload["result"] = result_to_full_dict(outcome.result)
-    else:
-        raise ValueError("outcome carries neither a result nor entry bytes")
     return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
@@ -229,17 +220,7 @@ def decode_result(data: bytes) -> WorkerOutcome:
             message=str(payload.get("message", "")),
             host=host if isinstance(host, str) else None,
         )
-    result: Optional[SimResult] = None
-    entry_bytes: Optional[bytes] = None
-    if "entry_b64" in payload:
-        entry_bytes = _unb64(payload["entry_b64"], "entry_b64")
-    elif "result" in payload:
-        try:
-            result = result_from_dict(payload["result"])
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise WireProtocolError(f"undecodable result payload: {exc}") from exc
-    else:
-        raise WireProtocolError("result payload carries neither result nor entry bytes")
+    entry_bytes = _unb64(payload.get("entry_b64"), "entry_b64")
     try:
         return WorkerOutcome(
             benchmark=str(payload["benchmark"]),
@@ -249,7 +230,6 @@ def decode_result(data: bytes) -> WorkerOutcome:
             memo_misses=int(payload.get("memo_misses", 0)),
             host=host if isinstance(host, str) else None,
             cache_hit=bool(payload.get("cache_hit", False)),
-            result=result,
             entry_bytes=entry_bytes,
         )
     except (KeyError, TypeError, ValueError) as exc:

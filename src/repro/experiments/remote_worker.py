@@ -14,10 +14,11 @@ Exit status contract (see ``SubprocessBackend._run_child``):
   the coordinator charges a ``WorkerCrash``.  255 is reserved: over ssh
   it means "host unreachable", so the worker never exits with it.
 
-With a cache directory in the task, the worker stores its fresh result
-locally *and* ships the stored entry bytes back (``sync_cache``), which
-is how a distributed sweep leaves every machine — coordinator included —
-warm for the next run.
+The reply carries the result as the bytes of its cache entry.  With a
+cache directory in the task, the worker stores a fresh result locally and
+ships the stored file, which is how a distributed sweep leaves every
+machine — coordinator included — warm for the next run; without one, it
+encodes the entry in memory.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ EXIT_BAD_TASK = 65  # EX_DATAERR
 def run_task(task: WorkerTask, host: str) -> bytes:
     """Execute one decoded task; returns the encoded reply document."""
     from repro.experiments.parallel import execute_task
-    from repro.sim.resultcache import ResultCache
+    from repro.sim.resultcache import ResultCache, encode_entry_bytes
 
     try:
         cache = None
@@ -58,29 +59,28 @@ def run_task(task: WorkerTask, host: str) -> bytes:
             )
             entry = cache.load(task.cache_key)
             if entry is not None:
-                sync_bytes = None
-                if task.sync_cache:
-                    try:
-                        sync_bytes = cache.path_for(task.cache_key).read_bytes()
-                    except OSError:
-                        pass  # entry vanished underneath us; ship the result
-                return encode_outcome(
-                    WorkerOutcome(
-                        benchmark=task.benchmark,
-                        version=task.version,
-                        wall_s=entry.sim_wall_s,
-                        host=host,
-                        cache_hit=True,
-                        entry_bytes=sync_bytes,
-                        result=None if sync_bytes is not None else entry.result,
+                try:
+                    data = cache.path_for(task.cache_key).read_bytes()
+                except OSError:  # the entry vanished after the hit
+                    data = encode_entry_bytes(
+                        task.cache_key, entry.result, entry.sim_wall_s
                     )
+                outcome = WorkerOutcome(
+                    benchmark=task.benchmark,
+                    version=task.version,
+                    wall_s=entry.sim_wall_s,
+                    host=host,
+                    cache_hit=True,
+                    entry_bytes=data,
                 )
+                return encode_outcome(outcome)
         outcome = execute_task(task, host=host)
         if cache is not None:
             path = cache.store(task.cache_key, outcome.result, sim_wall_s=outcome.wall_s)
-            if task.sync_cache:
-                outcome = replace(outcome, result=None, entry_bytes=path.read_bytes())
-        return encode_outcome(outcome)
+            data = path.read_bytes()
+        else:
+            data = encode_entry_bytes(task.cache_key, outcome.result, outcome.wall_s)
+        return encode_outcome(replace(outcome, result=None, entry_bytes=data))
     except Exception as exc:  # a typed failure reply, never a dead worker
         return encode_error(
             task.benchmark,

@@ -45,6 +45,7 @@ from repro.experiments.parallel import (
     SweepMetrics,
     SweepTask,
     TaskFailure,
+    _system_for,
     resolve_jobs,
     run_tasks,
 )
@@ -155,13 +156,9 @@ class SweepRunner:
 
     # -- keys ----------------------------------------------------------------
 
-    def _system_for(self, version: str) -> SystemConfig:
-        return self.discrete if version == COPY else self.heterogeneous
-
     def _key(self, spec: BenchmarkSpec, version: str) -> str:
-        if version not in VERSIONS:
-            raise ValueError(f"unknown version {version!r}; choose from {VERSIONS}")
-        return cache_key(spec, version, self._system_for(version), self.options)
+        system = _system_for(version, self.discrete, self.heterogeneous)
+        return cache_key(spec, version, system, self.options)
 
     # -- execution -----------------------------------------------------------
 

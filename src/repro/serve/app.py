@@ -77,6 +77,9 @@ _REASONS = {
 #: 1/32 the CLI harness uses (see repro.experiments.runner).
 DEFAULT_SERVE_SCALE = 1 / 32
 
+#: SSE keep-alive interval while a job produces no events.
+SSE_KEEPALIVE_S = 15.0
+
 
 class _HttpError(Exception):
     """An error response decided during request parsing/dispatch."""
@@ -100,16 +103,11 @@ class ServeConfig:
     cache_dir: Union[None, str, Path] = None  # None = default location
     no_cache: bool = False
     default_scale: float = DEFAULT_SERVE_SCALE
-    #: Tasks per run_tasks_async chunk (progress-event granularity);
-    #: 0 = auto: two pool-widths per chunk.
-    chunk_size: int = 0
     max_retries: int = 2
     task_timeout_s: Optional[float] = None
     #: Run the lint preflight on every submission.
     lint: bool = True
     max_body_bytes: int = 1 << 20
-    #: SSE keep-alive interval while a job produces no events.
-    sse_keepalive_s: float = 15.0
     #: Executor backend job sweeps fan out through ("local", "subprocess",
     #: or "ssh" — see docs/SWEEPS.md); results are identical across them.
     backend: str = "local"
@@ -210,9 +208,9 @@ class ServeApp:
 
     # -- job execution -------------------------------------------------------
 
-    def _chunk_size(self, total: int) -> int:
-        if self.config.chunk_size > 0:
-            return self.config.chunk_size
+    def _chunk_size(self) -> int:
+        """Tasks per run_tasks_async chunk (progress-event granularity):
+        two pool-widths."""
         return max(4, 2 * resolve_jobs(self.config.jobs))
 
     def _options(self, job: Job) -> SimOptions:
@@ -282,7 +280,7 @@ class ServeApp:
             metrics_registry=self.metrics_registry,
             policy=policy,
             executor=self._executor,
-            chunk_size=self._chunk_size(len(tasks)),
+            chunk_size=self._chunk_size(),
             progress=progress,
             backend=self.config.backend,
             hosts=self.config.hosts,
@@ -586,7 +584,7 @@ class ServeApp:
         seq = 0
         while True:
             events, terminal = await job.wait_events(
-                seq, timeout=self.config.sse_keepalive_s
+                seq, timeout=SSE_KEEPALIVE_S
             )
             for event in events:
                 data = json.dumps(event, sort_keys=True)

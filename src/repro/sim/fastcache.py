@@ -145,9 +145,6 @@ class FastSetAssocCache:
     def occupancy(self) -> int:
         return sum(len(lru) for lru in self._sets)
 
-    def is_dirty(self, block: int) -> bool:
-        return self._sets[block % self.num_sets].get(block, False)
-
     # -- the hot path ----------------------------------------------------------
 
     def access_stream(self, stream: AccessStream) -> AccessStream:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, List, Tuple
 
 from repro.sim.hierarchy import Component
 from repro.sim.results import SimResult
@@ -114,9 +114,6 @@ class MetricsRegistry:
 
     def summaries(self) -> List[RunTraceSummary]:
         return [self._runs[key] for key in sorted(self._runs)]
-
-    def benchmark_summaries(self, benchmark: str) -> List[RunTraceSummary]:
-        return [s for s in self.summaries() if s.benchmark == benchmark]
 
     def totals(self) -> Dict[str, float]:
         """Sweep-wide counter totals (the numbers behind Figs. 4-6)."""
@@ -219,19 +216,6 @@ class ServiceMetrics:
         with self._lock:
             self._queue_depth = depth
             self._max_queue_depth = max(self._max_queue_depth, depth)
-
-    @property
-    def total_requests(self) -> int:
-        with self._lock:
-            return sum(self._requests.values())
-
-    def outer_percentile(self, route: str, q: float) -> Optional[float]:
-        """Percentile of a route's recorded outer times (None if unseen)."""
-        with self._lock:
-            samples = list(self._outer.get(route, ()))
-        if not samples:
-            return None
-        return percentile(samples, q)
 
     def snapshot(self) -> Dict[str, object]:
         """One JSON-able view of everything recorded so far."""

@@ -19,10 +19,14 @@ everything that determines its value:
 
 Keys are the SHA-256 of the canonical JSON (sorted keys, no whitespace) of
 those inputs, which makes them independent of dict insertion order, process
-hash randomization, and restarts.  Entries round-trip through the lossless
-``repro.sim_result/v2-full`` schema of :mod:`repro.sim.serialize` and are
-gzip-compressed; writes are atomic (temp file + ``os.replace``), so
-concurrent sweep workers sharing one cache directory cannot corrupt it.
+hash randomization, and restarts.  An entry is a gzip-compressed JSON
+envelope around the lossless ``repro.sim_result/v2-full`` schema of
+:mod:`repro.sim.serialize`.  :func:`encode_entry_bytes` and
+:func:`decode_entry_bytes` are its only codec: the same bytes are the file
+on disk and a remote worker's reply on the executor wire, which the
+coordinator installs verbatim (:meth:`ResultCache.absorb`).  Every write
+goes through one atomic writer (temp file + ``os.replace``), so concurrent
+sweep workers sharing one cache directory cannot corrupt it.
 The v2-full schema is forward-compatible with optional result fields
 (``violations`` from the invariant monitor): entries written before a
 field existed still load, defaulting it — stale *semantics* are instead
@@ -38,16 +42,14 @@ import dataclasses
 import enum
 import gzip
 import hashlib
+import io
 import json
 import os
 import tempfile
-import threading
-import time
 import zlib
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, Optional, Union
 
 from repro.config.system import SystemConfig
 from repro.sim.engine import ENGINE_VERSION, SimOptions
@@ -118,7 +120,8 @@ def cache_key(
     # tests/test_stage_memo.py enforce this), so both are deliberately
     # excluded from the key: reference/fast and memo-on/off runs share
     # cache entries, and keys match those written before the options
-    # existed.  tests/test_resultcache.py pins this sharing.
+    # existed.  tests/test_prop_resultcache.py::
+    # test_key_ignores_engine_impl_and_stage_memo pins this sharing.
     options_view.pop("engine_impl", None)
     options_view.pop("stage_memo", None)
     payload = {
@@ -145,59 +148,84 @@ class CacheEntry:
     sim_wall_s: float
 
 
-def decode_entry_bytes(key: str, data: bytes) -> Optional[CacheEntry]:
-    """Parse raw on-disk entry bytes (the gzip-JSON envelope) for ``key``.
+def encode_entry_bytes(key: str, result: SimResult, sim_wall_s: float) -> bytes:
+    """The bytes of one entry, on disk and on the executor wire alike."""
+    # ``json.dumps`` uses the C encoder; ``json.dump`` to a stream takes
+    # the interpreted iterencode path, profiled at >3x the cost of the
+    # simulation on a cold sweep.  The envelope and its text are
+    # temporaries, so each is freed as soon as the next form exists.
+    data = json.dumps(
+        {
+            "schema": CACHE_SCHEMA,
+            "key": key,
+            "engine": ENGINE_VERSION,
+            "sim_wall_s": sim_wall_s,
+            "result": result_to_full_dict(result),
+        },
+        separators=(",", ":"),
+    ).encode("utf-8")
+    # Level 1: the log arrays compress ~4x either way, and cache writes
+    # must not dominate small-scale sweeps.
+    return gzip.compress(data, compresslevel=1)
 
-    This is how cache entries travel between machines: a remote worker
-    ships the exact bytes it stored, and the coordinator validates them
-    here before :meth:`ResultCache.absorb` installs them verbatim.
-    Anything torn, foreign, or mis-keyed returns ``None``.
+
+def decode_entry_bytes(key: str, data: bytes) -> Optional[CacheEntry]:
+    """Parse entry bytes (the gzip-JSON envelope) stored under ``key``.
+
+    Anything torn, foreign, or mis-keyed returns ``None``.  An ``OSError``
+    that is not a gzip format error propagates, so :meth:`ResultCache.load`
+    can tell a transient I/O failure from a damaged entry.
     """
     try:
-        payload = json.loads(gzip.decompress(data).decode("utf-8"))
-    except (OSError, EOFError, zlib.error, UnicodeDecodeError, ValueError):
-        return None
-    try:
+        with gzip.open(io.BytesIO(data), "rt", encoding="utf-8") as handle:
+            payload = json.load(handle)
         if payload.get("schema") != CACHE_SCHEMA or payload.get("key") != key:
             return None
         return CacheEntry(
             result=result_from_dict(payload["result"]),
             sim_wall_s=float(payload.get("sim_wall_s", 0.0)),
         )
-    except (ValueError, KeyError, TypeError, AttributeError):
+    except (
+        gzip.BadGzipFile,
+        EOFError,
+        zlib.error,
+        UnicodeDecodeError,
+        ValueError,  # includes json.JSONDecodeError
+        KeyError,
+        TypeError,
+        AttributeError,
+    ):
         return None
 
 
-class _Flight:
-    """Refcounted per-key lock slot of the single-flight registry."""
-
-    __slots__ = ("lock", "refs")
-
-    def __init__(self) -> None:
-        self.lock = threading.Lock()
-        self.refs = 0
-
-
-#: Process-wide single-flight registry keyed by (cache root, entry key).
-#: Slots are refcounted and dropped when the last holder releases, so a
-#: long-running server's lock table stays bounded by its concurrency, not
-#: by the number of keys it has ever served.
-_FLIGHT_GUARD = threading.Lock()
-_FLIGHTS: Dict[Tuple[str, str], _Flight] = {}
+def _write_atomic(path: Path, data: bytes) -> None:
+    """Write ``path`` through a temp file and ``os.replace``, so a reader
+    sees the old file or the new one, never a torn write."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(
+        dir=path.parent, prefix=f".{path.name[:8]}-", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+        os.replace(tmp_name, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
 
 
 class ResultCache:
     """Filesystem-backed result store; one gzip-JSON file per key.
 
-    Concurrency: entries are written atomically (temp file +
-    ``os.replace``) so readers can never observe torn data, and multiple
-    threads/processes may store the same key concurrently (last atomic
-    replace wins — both wrote the same bytes).  What atomicity alone does
-    not prevent is *duplicate computation*: two clients missing on the
-    same key both simulate.  :meth:`get_or_compute` closes that gap with
-    a process-local single-flight lock per key — the first caller
-    computes and stores while the rest block, then load the stored entry
-    (tests/test_resultcache_concurrency.py pins both properties).
+    Entries are written atomically, so readers never observe torn data,
+    and threads or processes may store the same key concurrently (the
+    last replace wins; both wrote the same entry).  Nothing here stops two
+    clients that miss on one key from both simulating it: the sweep
+    supervisor runs each key once per sweep, and ``repro serve`` coalesces
+    identical jobs by content hash.
     """
 
     def __init__(self, root: Union[None, str, Path] = None):
@@ -206,48 +234,6 @@ class ResultCache:
     def path_for(self, key: str) -> Path:
         # Two-level fan-out keeps directories small for big sweeps.
         return self.root / key[:2] / f"{key}.json.gz"
-
-    @contextmanager
-    def lock(self, key: str) -> Iterator[None]:
-        """Serialize the enclosed block against same-key blocks in this
-        process (other cache roots and other keys are unaffected)."""
-        slot_key = (str(self.root), key)
-        with _FLIGHT_GUARD:
-            flight = _FLIGHTS.get(slot_key)
-            if flight is None:
-                flight = _FLIGHTS[slot_key] = _Flight()
-            flight.refs += 1
-        try:
-            with flight.lock:
-                yield
-        finally:
-            with _FLIGHT_GUARD:
-                flight.refs -= 1
-                if flight.refs == 0 and _FLIGHTS.get(slot_key) is flight:
-                    del _FLIGHTS[slot_key]
-
-    def get_or_compute(
-        self, key: str, compute: Callable[[], SimResult]
-    ) -> Tuple[CacheEntry, bool]:
-        """Load ``key`` or compute-and-store it, single-flight per process.
-
-        Returns ``(entry, computed)`` where ``computed`` is True when
-        *this* call ran ``compute``.  Concurrent same-key callers block on
-        the per-key lock and then load the freshly stored entry, so N
-        racing clients cost one computation, not N.
-        """
-        entry = self.load(key)
-        if entry is not None:
-            return entry, False
-        with self.lock(key):
-            entry = self.load(key)
-            if entry is not None:
-                return entry, False
-            start = time.perf_counter()
-            result = compute()
-            wall_s = time.perf_counter() - start
-            self.store(key, result, sim_wall_s=wall_s)
-            return CacheEntry(result=result, sim_wall_s=wall_s), True
 
     def load(self, key: str) -> Optional[CacheEntry]:
         """Return the stored entry, or None on miss or unreadable file.
@@ -261,31 +247,12 @@ class ResultCache:
         """
         path = self.path_for(key)
         try:
-            with gzip.open(path, "rt", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except FileNotFoundError:
+            entry = decode_entry_bytes(key, path.read_bytes())
+        except OSError:  # missing file or transient read error
             return None
-        except (
-            gzip.BadGzipFile,
-            EOFError,
-            zlib.error,
-            UnicodeDecodeError,
-            ValueError,  # includes json.JSONDecodeError
-        ):
+        if entry is None:
             self._discard(path)
-            return None
-        except OSError:
-            return None
-        try:
-            if payload.get("schema") != CACHE_SCHEMA or payload.get("key") != key:
-                raise ValueError("stale or foreign cache entry")
-            return CacheEntry(
-                result=result_from_dict(payload["result"]),
-                sim_wall_s=float(payload.get("sim_wall_s", 0.0)),
-            )
-        except (ValueError, KeyError, TypeError, AttributeError):
-            self._discard(path)
-            return None
+        return entry
 
     @staticmethod
     def _discard(path: Path) -> None:
@@ -298,64 +265,20 @@ class ResultCache:
     def store(self, key: str, result: SimResult, sim_wall_s: float = 0.0) -> Path:
         """Atomically persist one result under ``key``; returns its path."""
         path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "schema": CACHE_SCHEMA,
-            "key": key,
-            "engine": ENGINE_VERSION,
-            "sim_wall_s": sim_wall_s,
-            "result": result_to_full_dict(result),
-        }
-        fd, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=f".{key[:8]}-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as raw:
-                # Level 1: the log arrays compress ~4x either way, and cache
-                # writes must not dominate small-scale sweeps.  Encode with
-                # dumps + one write: json.dump always takes the interpreted
-                # iterencode path (one tiny text-wrapper write per token —
-                # profiled at >3x the cost of the simulation itself on a
-                # cold 46x2 sweep), while dumps uses the C encoder.  The
-                # emitted bytes are identical.
-                with gzip.open(raw, "wt", encoding="utf-8", compresslevel=1) as handle:
-                    handle.write(json.dumps(payload, separators=(",", ":")))
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        _write_atomic(path, encode_entry_bytes(key, result, sim_wall_s))
         return path
 
     def absorb(self, key: str, data: bytes) -> Optional[CacheEntry]:
-        """Adopt entry bytes another cache produced (warm-cache sync).
+        """Adopt entry bytes a remote worker sent (warm-cache sync).
 
-        Remote sweep workers return the content-addressed bytes they
-        stored locally; installing them verbatim costs one validating
-        decode and one atomic write — no re-simulation, no re-encode.
-        Returns the decoded entry, or ``None`` (and installs nothing)
-        when the bytes are damaged or keyed differently.
+        Installing them verbatim costs one validating decode and one
+        atomic write — no re-simulation, no re-encode.  Returns the
+        decoded entry, or ``None`` (and installs nothing) when the bytes
+        are damaged or keyed differently.
         """
         entry = decode_entry_bytes(key, data)
-        if entry is None:
-            return None
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=f".{key[:8]}-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as raw:
-                raw.write(data)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        if entry is not None:
+            _write_atomic(self.path_for(key), data)
         return entry
 
     # -- maintenance ---------------------------------------------------------

@@ -91,7 +91,6 @@ def _worker_task(**overrides) -> WorkerTask:
         options=_options(),
         cache_key="k" * 16,
         cache_dir=None,
-        sync_cache=True,
     )
     fields.update(overrides)
     return WorkerTask(**fields)
@@ -132,21 +131,6 @@ class TestWireFormat:
         )
         decoded = decode_result(encode_outcome(outcome))
         assert decoded == outcome
-
-    def test_outcome_result_round_trip(self):
-        results, _ = _run(_tasks(("lonestar/bfs",)), jobs=1)
-        result = results[("lonestar/bfs", COPY)]
-        decoded = decode_result(
-            encode_outcome(
-                WorkerOutcome(
-                    benchmark="lonestar/bfs",
-                    version=COPY,
-                    wall_s=0.5,
-                    result=result,
-                )
-            )
-        )
-        assert results_identical(decoded.result, result)
 
     def test_error_reply_decodes_to_remote_task_error(self):
         data = encode_error("a/b", COPY, "KeyError", "missing", host="n3")

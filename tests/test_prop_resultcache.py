@@ -8,6 +8,7 @@ object identity), insensitive to dict ordering, and sensitive to every
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import pathlib
@@ -52,6 +53,24 @@ def test_key_equal_iff_options_equal(a, b):
     key_a = cache_key(SPEC, "copy", DISCRETE, a)
     key_b = cache_key(SPEC, "copy", DISCRETE, b)
     assert (key_a == key_b) == (a == b)
+
+
+@given(options=sim_options_strategy())
+@settings(max_examples=50, deadline=None)
+def test_key_ignores_engine_impl_and_stage_memo(options):
+    """Reference/fast engines and memo on/off/auto are bit-identical
+    execution strategies, so every variant shares one cache entry."""
+    keys = {
+        cache_key(
+            SPEC,
+            "copy",
+            DISCRETE,
+            dataclasses.replace(options, engine_impl=impl, stage_memo=memo),
+        )
+        for impl in ("fast", "reference")
+        for memo in ("auto", "on", "off")
+    }
+    assert keys == {cache_key(SPEC, "copy", DISCRETE, options)}
 
 
 @given(
