@@ -23,6 +23,7 @@ from repro.analysis.linter import (
     lint_pipeline,
     lint_pipeline_memoized,
     lint_registry,
+    limited_copy_form,
 )
 from repro.analysis.memo import (
     LintMemo,
@@ -56,6 +57,7 @@ __all__ = [
     "lint_pipeline",
     "lint_pipeline_memoized",
     "lint_registry",
+    "limited_copy_form",
     "pipeline_content_hash",
     "render_json",
     "render_text",

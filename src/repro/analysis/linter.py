@@ -95,21 +95,23 @@ def lint_pipeline_memoized(
     )
 
 
+def limited_copy_form(pipeline: Pipeline) -> Pipeline:
+    """The limited-copy shape every lint caller checks: ``remove_copies``
+    of ``pipeline``, renamed ``<name> [limited-copy]`` so its findings and
+    its lint-memo hash differ from the copy form's."""
+    limited = remove_copies(pipeline)
+    return limited.with_stages(limited.stages, name=f"{pipeline.name} [limited-copy]")
+
+
 def lint_benchmark(
     spec: BenchmarkSpec, *, opportunities: bool = False
 ) -> LintReport:
     """Lint a benchmark's copy and limited-copy forms plus its spec flags."""
     pipeline = spec.pipeline()
     report = lint_pipeline(pipeline, spec, opportunities=opportunities)
-    limited = remove_copies(pipeline)
-    limited_report = lint_pipeline(
-        limited.with_stages(
-            limited.stages, name=f"{pipeline.name} [limited-copy]"
-        ),
-        spec,
-        opportunities=opportunities,
+    report.merge(
+        lint_pipeline(limited_copy_form(pipeline), spec, opportunities=opportunities)
     )
-    report.merge(limited_report)
     return report
 
 

@@ -30,11 +30,16 @@ writes a Chrome ``trace_event`` file (open in https://ui.perfetto.dev);
 ``--format jsonl`` writes the compact JSONL stream instead.  Exits 1 if
 any conservation invariant was violated, 2 on usage errors.
 
-Every simulating command takes ``--jobs N`` (0 = all cores, 1 = serial) to
-fan the sweep out over a process pool, and ``--cache-dir``/``--no-cache``
-to control the persistent result cache (default ``~/.cache/repro-sweeps``,
-or ``$REPRO_CACHE_DIR``).  A repeated invocation with a warm cache
-simulates nothing and reproduces identical output.
+Every simulating command takes ``--scale``/``--seed``/``--engine``/
+``--stage-memo``.  Those that drive the sweep runner (``run``, ``fig4``-
+``fig9``, ``validate``, ``advise``, ``timeline``, ``export``, ``all``) also
+take ``--jobs N`` (0 = all cores, 1 = serial) to fan the sweep out over a
+process pool, ``--cache-dir``/``--no-cache`` to control the persistent
+result cache (default ``~/.cache/repro-sweeps``, or ``$REPRO_CACHE_DIR``)
+and the fault-policy and backend flags below; ``repro cache`` takes only
+``--cache-dir``.  Commands reject flags they would ignore (exit 2).  A
+repeated invocation with a warm cache simulates nothing and reproduces
+identical output.
 
 ``repro serve`` turns the sweep runner into a long-running service
 (docs/SERVING.md): an asyncio HTTP/JSON API accepting simulation, sweep,
@@ -113,45 +118,43 @@ def _options(args: argparse.Namespace) -> SimOptions:
     return SimOptions(
         scale=args.scale,
         seed=args.seed,
-        engine_impl=getattr(args, "engine", "fast"),
-        stage_memo=getattr(args, "stage_memo", "auto"),
+        engine_impl=args.engine,
+        stage_memo=args.stage_memo,
     )
 
 
 def _cache_dir(args: argparse.Namespace):
-    if getattr(args, "no_cache", False):
+    if args.no_cache:
         return None
-    return getattr(args, "cache_dir", None) or default_cache_dir()
+    return args.cache_dir or default_cache_dir()
 
 
 def _fault_policy(args: argparse.Namespace) -> FaultPolicy:
     return FaultPolicy(
-        max_retries=getattr(args, "max_retries", 2),
-        task_timeout_s=getattr(args, "task_timeout", None),
-        fail_fast=getattr(args, "fail_fast", False),
+        max_retries=args.max_retries,
+        task_timeout_s=args.task_timeout,
+        fail_fast=args.fail_fast,
     )
 
 
 def _hosts(args: argparse.Namespace) -> tuple:
-    raw = getattr(args, "hosts", None)
-    if not raw:
+    if not args.hosts:
         return ()
-    return tuple(h.strip() for h in raw.split(",") if h.strip())
+    return tuple(h.strip() for h in args.hosts.split(",") if h.strip())
 
 
 def _runner(args: argparse.Namespace) -> SweepRunner:
-    backend = getattr(args, "backend", "local")
     hosts = _hosts(args)
-    if backend == "ssh" and not hosts:
+    if args.backend == "ssh" and not hosts:
         raise SystemExit("repro: --backend ssh requires --hosts H1,H2,...")
     return SweepRunner(
         options=_options(args),
-        parallel=getattr(args, "jobs", 1),
+        parallel=args.jobs,
         cache_dir=_cache_dir(args),
         verbose=True,
-        preflight=getattr(args, "preflight", False),
+        preflight=args.preflight,
         fault_policy=_fault_policy(args),
-        backend=backend,
+        backend=args.backend,
         hosts=hosts,
     )
 
@@ -271,7 +274,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_cache(args: argparse.Namespace) -> int:
-    cache = ResultCache(getattr(args, "cache_dir", None) or default_cache_dir())
+    cache = ResultCache(args.cache_dir or default_cache_dir())
     if args.clear:
         removed = cache.clear()
         print(f"cleared {removed} cached results from {cache.root}")
@@ -473,38 +476,23 @@ def _lint_targets(args: argparse.Namespace):
     """The (pipeline, spec) pairs a lint invocation covers, in report
     order: copy form then renamed limited-copy form for each benchmark —
     the same shapes :func:`repro.analysis.lint_benchmark` lints."""
-    from repro.pipeline.transforms import remove_copies
+    from repro.analysis import limited_copy_form
     from repro.workloads.loader import pipeline_from_file
 
-    pairs = []
     if args.spec:
         pipeline = pipeline_from_file(args.spec)
-        limited = remove_copies(pipeline)
-        pairs.append((pipeline, None))
-        pairs.append((
-            limited.with_stages(
-                limited.stages, name=f"{pipeline.name} [limited-copy]"
-            ),
-            None,
-        ))
-        return pairs
+        return [(pipeline, None), (limited_copy_form(pipeline), None)]
     specs = (
         [get(name) for name in args.benchmark]
         if args.benchmark
         else [s for s in simulatable_specs()]
     )
+    pairs = []
     for spec in specs:
         if not spec.simulatable:
             continue
         pipeline = spec.pipeline()
-        limited = remove_copies(pipeline)
-        pairs.append((pipeline, spec))
-        pairs.append((
-            limited.with_stages(
-                limited.stages, name=f"{pipeline.name} [limited-copy]"
-            ),
-            spec,
-        ))
+        pairs += [(pipeline, spec), (limited_copy_form(pipeline), spec)]
     return pairs
 
 
@@ -843,8 +831,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, help_text):
-        p = sub.add_parser(name, help=help_text)
+    def sim_flags(p):
+        """What builds :class:`SimOptions`: every simulating command."""
         p.add_argument(
             "--scale",
             type=float,
@@ -869,18 +857,24 @@ def build_parser() -> argparse.ArgumentParser:
             "enables it with the fast engine (default), results are "
             "bit-identical either way (docs/MODELING.md)",
         )
-        p.add_argument(
-            "--jobs",
-            type=int,
-            default=0,
-            help="parallel sweep workers (0 = all cores, 1 = serial)",
-        )
+
+    def cache_dir_flag(p):
         p.add_argument(
             "--cache-dir",
             default=None,
             help="persistent result-cache directory "
             "(default: $REPRO_CACHE_DIR or ~/.cache/repro-sweeps)",
         )
+
+    def runner_flags(p):
+        """What only a :class:`SweepRunner` reads: sweep commands."""
+        p.add_argument(
+            "--jobs",
+            type=int,
+            default=0,
+            help="parallel sweep workers (0 = all cores, 1 = serial)",
+        )
+        cache_dir_flag(p)
         p.add_argument(
             "--no-cache",
             action="store_true",
@@ -930,11 +924,16 @@ def build_parser() -> argparse.ArgumentParser:
             help="comma-separated remote hosts for --backend ssh "
             "(each needs python3 with the repro package importable)",
         )
+
+    def add(name, handler, help_text, flags=(sim_flags, runner_flags)):
+        p = sub.add_parser(name, help=help_text)
+        for add_flags in flags:
+            add_flags(p)
         p.set_defaults(handler=handler)
         return p
 
-    add("show-config", cmd_show_config, "print Table I")
-    list_p = add("list", cmd_list, "list benchmarks and Table II flags")
+    add("show-config", cmd_show_config, "print Table I", flags=())
+    list_p = add("list", cmd_list, "list benchmarks and Table II flags", flags=())
     list_p.add_argument("--suite", choices=SUITES, default=None)
     run_p = add("run", cmd_run,
                 "simulate one benchmark (or, with no argument, the full "
@@ -942,7 +941,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("benchmark", nargs="?", default=None,
                        help="benchmark name, e.g. rodinia/kmeans; omit to "
                        "run the whole sweep")
-    add("table2", cmd_table2, "regenerate Table II")
+    add("table2", cmd_table2, "regenerate Table II", flags=())
     lint_p = sub.add_parser(
         "lint",
         help="statically verify pipelines (hazards, memory spaces, Table II)",
@@ -975,6 +974,7 @@ def build_parser() -> argparse.ArgumentParser:
         "trace",
         cmd_trace,
         "simulate one benchmark with event tracing + invariant monitoring",
+        flags=(sim_flags,),
     )
     trace_p.add_argument("benchmark", help="benchmark name, e.g. lonestar/bfs")
     trace_p.add_argument(
@@ -991,7 +991,8 @@ def build_parser() -> argparse.ArgumentParser:
     trace_p.add_argument(
         "--no-check", action="store_true",
         help="skip the conservation-invariant monitor")
-    cache_p = add("cache", cmd_cache, "inspect the persistent result cache")
+    cache_p = add("cache", cmd_cache, "inspect the persistent result cache",
+                  flags=(cache_dir_flag,))
     cache_p.add_argument("--clear", action="store_true",
                          help="delete every cached result")
     bench_p = sub.add_parser(
@@ -1134,13 +1135,15 @@ def build_parser() -> argparse.ArgumentParser:
                           help="include the raw off-chip access log")
     export_p.add_argument("--output", default=None, help="output file path")
     spec_p = add("run-spec", cmd_run_spec,
-                 "simulate a declarative JSON workload, both systems")
+                 "simulate a declarative JSON workload, both systems",
+                 flags=(sim_flags,))
     spec_p.add_argument("spec", help="path to a workload JSON file")
-    add("fig3", cmd_fig3, "regenerate Fig. 3 (kmeans case study)")
+    add("fig3", cmd_fig3, "regenerate Fig. 3 (kmeans case study)",
+        flags=(sim_flags,))
     for name, module in FIGURES.items():
         add(name, cmd_figure(module), f"regenerate {name}")
     add("validate", cmd_validate, "Section V-A/V-B model validations")
-    add("ablations", cmd_ablations, "ablation studies")
+    add("ablations", cmd_ablations, "ablation studies", flags=(sim_flags,))
     add("all", cmd_all, "regenerate every table and figure")
     return parser
 

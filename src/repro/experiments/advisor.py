@@ -13,6 +13,7 @@ import enum
 from dataclasses import dataclass
 from typing import List, Optional
 
+from repro.config.system import SystemConfig
 from repro.core.classify import classify_result
 from repro.core.migrate import migrated_compute_runtime
 from repro.core.overlap import ComponentTimes, component_overlap_runtime
@@ -78,19 +79,24 @@ def advise(
 ) -> AdvisorReport:
     """Produce ranked recommendations for one benchmark."""
     runner = runner or default_runner()
-    pair = runner.pair(spec)
+    return advise_pair(runner.pair(spec), runner.heterogeneous)
+
+
+def advise_pair(pair: BenchmarkRun, heterogeneous: SystemConfig) -> AdvisorReport:
+    """Rank the recommendations for an already simulated pair;
+    ``heterogeneous`` is the machine the migration model assumes."""
     recommendations: List[Recommendation] = []
 
     recommendations += _advise_copy_removal(pair)
     recommendations += _advise_overlap(pair)
-    recommendations += _advise_migration(pair, runner)
+    recommendations += _advise_migration(pair, heterogeneous)
     recommendations += _advise_caching(pair)
     recommendations += _advise_alignment(pair)
     recommendations += _advise_faults(pair)
 
     recommendations = [r for r in recommendations if abs(r.estimated_gain) >= MIN_GAIN]
     recommendations.sort(key=lambda r: r.estimated_gain, reverse=True)
-    return AdvisorReport(benchmark=spec.full_name, recommendations=recommendations)
+    return AdvisorReport(benchmark=pair.spec.full_name, recommendations=recommendations)
 
 
 def advise_benchmark(
@@ -137,10 +143,12 @@ def _advise_overlap(pair: BenchmarkRun) -> List[Recommendation]:
     ]
 
 
-def _advise_migration(pair: BenchmarkRun, runner: SweepRunner) -> List[Recommendation]:
+def _advise_migration(
+    pair: BenchmarkRun, heterogeneous: SystemConfig
+) -> List[Recommendation]:
     times = ComponentTimes.from_result(pair.limited)
     estimate = migrated_compute_runtime(
-        times, runner.heterogeneous, float(pair.limited.offchip_bytes())
+        times, heterogeneous, float(pair.limited.offchip_bytes())
     )
     gain = 1.0 - estimate.runtime_s / pair.limited.roi_s if pair.limited.roi_s else 0.0
     return [

@@ -12,20 +12,20 @@ loop swaps in the in-parent :class:`InlineBackend`, which also serves
 ``jobs=1``, single-task batches, unpicklable specs and a failed
 ``start``.  Unfinished tasks become :class:`TaskFailure` records; every
 fresh result is returned and cached (a failed cache write is counted,
-never fatal).  The knobs live on :class:`FaultPolicy` (docs/SWEEPS.md).
+never fatal).  A ``progress`` callback hears of every finished task; that
+is how ``repro serve`` streams a job.  The knobs live on
+:class:`FaultPolicy` (docs/SWEEPS.md).
 """
 
 from __future__ import annotations
 
-import asyncio
-import functools
 import os
 import pickle
 import time
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, CancelledError
-from concurrent.futures import Executor, Future, wait
-from dataclasses import dataclass, field, fields, replace
-from typing import Awaitable, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from concurrent.futures import Future, wait
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.config.system import SystemConfig
 from repro.experiments.executors import (
@@ -171,8 +171,6 @@ class SweepMetrics:
     retries: int = 0
     #: Backend teardowns and rebuilds (worker crash or task timeout).
     pool_rebuilds: int = 0
-    #: Sweep invocations this object aggregates (see :meth:`merge`).
-    sweeps: int = 1
     #: Stage-memo (repro.sim.memo) steps replayed / computed by the fresh
     #: simulations of this sweep, counted in whichever process ran them.
     stage_memo_hits: int = 0
@@ -199,21 +197,6 @@ class SweepMetrics:
     def speedup_estimate(self) -> float:
         return self.serial_estimate_s / self.wall_s if self.wall_s > 0 else 0.0
 
-    def merge(self, other: "SweepMetrics") -> None:
-        """Fold ``other`` in: counters, times, per-host counts and failures
-        add up; ``jobs`` (a configuration) keeps the widest pool."""
-        for f in fields(self):
-            mine, theirs = getattr(self, f.name), getattr(other, f.name)
-            if f.name == "jobs":
-                self.jobs = max(mine, theirs)
-            elif isinstance(mine, dict):
-                for host, count in theirs.items():
-                    mine[host] = mine.get(host, 0) + count
-            elif isinstance(mine, list):
-                mine.extend(theirs)
-            else:
-                setattr(self, f.name, mine + theirs)
-
     def format_line(self) -> str:
         parts = [
             f"{self.total} runs",
@@ -229,10 +212,7 @@ class SweepMetrics:
         line = f"sweep: {', '.join(parts)} in {self.wall_s:.1f}s [jobs={self.jobs}]"
         if self.serial_estimate_s > 0:
             line += f"; serial estimate {self.serial_estimate_s:.1f}s"
-            # Merged metrics sum wall times of sweeps that may have run
-            # back-to-back against a warm memo, so a speedup ratio over the
-            # sum would be meaningless; only a single sweep claims one.
-            if self.sweeps == 1 and self.wall_s > 0:
+            if self.wall_s > 0:
                 line += f" ({self.speedup_estimate:.1f}x)"
         return line
 
@@ -338,6 +318,7 @@ class _Supervisor:
     cache: Optional[ResultCache]
     registry: Optional[MetricsRegistry]
     inline: InlineBackend
+    progress: Optional[Callable[[int, int, SweepMetrics], None]] = None
     results: Dict[Tuple[str, str], SimResult] = field(default_factory=dict)
     queue: List[_TaskState] = field(default_factory=list)
     inflight: Dict[Future, _TaskState] = field(default_factory=dict)
@@ -347,6 +328,12 @@ class _Supervisor:
     #: crash- or hang-every-attempt workload degrades instead of looping.
     recycles: int = 0
     stop: bool = False  # set once fail-fast trips; no further dispatch
+
+    def report_progress(self) -> None:
+        """Hand ``(completed, total, metrics)`` to the progress callback."""
+        if self.progress is not None:
+            m = self.metrics
+            self.progress(m.cache_hits + m.launched + m.failed, m.total, m)
 
     def record(self, task: SweepTask, result: SimResult) -> None:
         self.results[(task.full_name, task.version)] = result
@@ -389,6 +376,7 @@ class _Supervisor:
         m.stage_memo_misses += outcome.memo_misses
         if self.registry is not None:
             self.registry.record_stage_memo(outcome.memo_hits, outcome.memo_misses)
+        self.report_progress()
         return True
 
     def _requeue(self, state: _TaskState, charge: Optional[_Charge]) -> None:
@@ -411,6 +399,7 @@ class _Supervisor:
             if self.registry is not None:
                 self.registry.record_failure(failure)
             self.stop = self.stop or (self.policy.fail_fast and fate != FATE_CANCELLED)
+            self.report_progress()
             return
         self.queue.append(state)
 
@@ -547,6 +536,7 @@ def run_tasks(
     policy: Optional[FaultPolicy] = None,
     backend: Union[None, str, ExecutorBackend] = None,
     hosts: Sequence[str] = (),
+    progress: Optional[Callable[[int, int, SweepMetrics], None]] = None,
 ) -> Tuple[Dict[Tuple[str, str], SimResult], SweepMetrics]:
     """Execute a batch of sweep tasks, parallel, cache-aware, fault-tolerant.
 
@@ -558,13 +548,16 @@ def run_tasks(
     ``hosts``, or a live :class:`ExecutorBackend`).  A failing task is
     retried per ``policy``, then reported on ``metrics.failures``; it
     never aborts the batch.  ``metrics_registry`` summarizes every result.
+    ``progress(completed, total, metrics)`` is called on the caller's thread
+    once after the cache pass (if the cache answered anything), then once
+    per task the supervisor finishes, done or failed.
     """
     jobs = resolve_jobs(jobs)
     metrics = SweepMetrics(total=len(tasks), jobs=jobs)
     start = time.perf_counter()
     supervisor = _Supervisor(
         policy or FaultPolicy(), metrics, cache, metrics_registry,
-        InlineBackend({task.full_name: task.spec for task in tasks}),
+        InlineBackend({task.full_name: task.spec for task in tasks}), progress,
     )
     # Workers on this machine share the coordinator's cache directory;
     # the ssh backend rewrites the path for remote filesystems.
@@ -583,6 +576,8 @@ def run_tasks(
         supervisor.record(task, entry.result)
         metrics.cache_hits += 1
         metrics.serial_estimate_s += entry.sim_wall_s
+    if metrics.cache_hits:
+        supervisor.report_progress()
 
     pooled: List[_TaskState] = []
     if jobs > 1 and len(pending) > 1:
@@ -601,49 +596,3 @@ def run_tasks(
     metrics.wall_s = time.perf_counter() - start
     return supervisor.results, metrics
 
-
-#: Signature of the optional progress hook of :func:`run_tasks_async`:
-#: ``(tasks_completed, tasks_total, metrics_so_far)`` awaited on the event
-#: loop after every chunk, so servers can stream progress without polling.
-ProgressHook = Callable[[int, int, SweepMetrics], Awaitable[None]]
-
-
-async def run_tasks_async(
-    tasks: Sequence[SweepTask],
-    *,
-    discrete: SystemConfig,
-    heterogeneous: SystemConfig,
-    options: SimOptions,
-    jobs: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
-    metrics_registry: Optional[MetricsRegistry] = None,
-    policy: Optional[FaultPolicy] = None,
-    backend: Union[None, str, ExecutorBackend] = None,
-    hosts: Sequence[str] = (),
-    executor: Optional[Executor] = None,
-    chunk_size: Optional[int] = None,
-    progress: Optional[ProgressHook] = None,
-) -> Tuple[Dict[Tuple[str, str], SimResult], SweepMetrics]:
-    """:func:`run_tasks` in ``executor`` (default: the loop's thread pool),
-    the submission API of ``repro serve``.  ``chunk_size`` splits the batch
-    into sequential sub-batches, awaiting ``progress`` after each; their
-    metrics are merged, so counters cover the whole batch."""
-    loop = asyncio.get_running_loop()
-    run = functools.partial(
-        run_tasks, discrete=discrete, heterogeneous=heterogeneous, options=options,
-        jobs=jobs, cache=cache, metrics_registry=metrics_registry, policy=policy,
-        backend=backend, hosts=hosts,
-    )
-    tasks = list(tasks)
-    size = chunk_size if chunk_size and chunk_size > 0 else max(1, len(tasks))
-    results: Dict[Tuple[str, str], SimResult] = {}
-    combined = SweepMetrics(total=0, jobs=resolve_jobs(jobs), sweeps=0)
-    for first in range(0, len(tasks), size):
-        chunk = tasks[first : first + size]
-        part, metrics = await loop.run_in_executor(executor, run, chunk)
-        results.update(part)
-        combined.merge(metrics)
-        if progress is not None:
-            await progress(first + len(chunk), len(tasks), combined)
-    combined.sweeps = max(1, combined.sweeps)
-    return results, combined

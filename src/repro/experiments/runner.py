@@ -216,13 +216,12 @@ class SweepRunner:
         over the same specs (scale sweeps, ``pair()`` loops, the static
         advisor) analyse each distinct pipeline once per process.
         """
-        from repro.analysis import assert_lint_clean
-        from repro.pipeline.transforms import remove_copies
+        from repro.analysis import assert_lint_clean, limited_copy_form
 
         for task in tasks:
             pipeline = task.spec.pipeline()
             if task.version == LIMITED:
-                pipeline = remove_copies(pipeline)
+                pipeline = limited_copy_form(pipeline)
             assert_lint_clean(pipeline, task.spec, memoize=True)
 
     def _failures_for(self, name: str, version: str) -> List[TaskFailure]:

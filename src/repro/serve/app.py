@@ -20,17 +20,20 @@ Endpoints::
 
 Jobs are validated on submit (``repro lint`` preflight included),
 deduplicated by content hash against in-flight work, and executed on a
-bounded worker pool that dispatches through
-:func:`repro.experiments.parallel.run_tasks_async` — the PR 5 fault
-supervisor, so a crashed pool worker surfaces as a structured per-run
-failure and a ``partial`` job status, never a hung request.  Warm
-requests are answered from the shared content-addressed
-:class:`~repro.sim.resultcache.ResultCache` without re-simulation.
+bounded pool of job threads.  Each job is one
+:func:`repro.experiments.parallel.run_tasks` call, the fault-supervised
+sweep ``repro run`` uses, whose progress callback feeds the job's event
+stream.  A crashed pool worker surfaces as a structured per-run failure
+and a ``partial`` job status, never a hung request.  Warm requests are
+answered from the shared content-addressed
+:class:`~repro.sim.resultcache.ResultCache` without re-simulation, and an
+advise job ranks the pair its own sweep returned.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -39,13 +42,17 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.config.system import discrete_gpu_system, heterogeneous_processor
+from repro.experiments.advisor import advise_pair
 from repro.experiments.parallel import (
+    COPY,
+    LIMITED,
     FaultPolicy,
     SweepMetrics,
     SweepTask,
     resolve_jobs,
-    run_tasks_async,
+    run_tasks,
 )
+from repro.experiments.runner import BenchmarkRun
 from repro.sim.engine import ENGINE_VERSION, SimOptions
 from repro.sim.observe.metrics import MetricsRegistry, ServiceMetrics
 from repro.sim.resultcache import ResultCache, default_cache_dir
@@ -208,11 +215,6 @@ class ServeApp:
 
     # -- job execution -------------------------------------------------------
 
-    def _chunk_size(self) -> int:
-        """Tasks per run_tasks_async chunk (progress-event granularity):
-        two pool-widths."""
-        return max(4, 2 * resolve_jobs(self.config.jobs))
-
     def _options(self, job: Job) -> SimOptions:
         return SimOptions(
             scale=job.spec.scale,
@@ -239,7 +241,7 @@ class ServeApp:
             try:
                 if job is not None:
                     await self._execute(job)
-            except Exception as exc:  # a bug, not a task failure: the PR 5
+            except Exception as exc:  # a bug, not a task failure: the
                 # supervisor already converts those into TaskFailures
                 if job is not None and not job.terminal:
                     await self.store.finish(
@@ -250,18 +252,19 @@ class ServeApp:
 
     async def _execute(self, job: Job) -> None:
         await self.store.mark_running(job)
-        options = self._options(job)
-        policy = self._policy()
         specs = [registry.get(name) for name in job.spec.benchmarks]
         tasks = [
             SweepTask(spec, version)
             for spec in specs
             for version in job.spec.versions
         ]
+        loop = asyncio.get_running_loop()
 
-        async def progress(done: int, total: int, metrics: SweepMetrics) -> None:
-            await job.publish(
-                "progress",
+        def progress(done: int, total: int, metrics: SweepMetrics) -> None:
+            # Called on the job thread: snapshot the counters here, publish
+            # on the event loop.  Both hand-offs are FIFO, so every
+            # progress event lands before the job's "finished".
+            snapshot = dict(
                 completed=done,
                 total=total,
                 launched=metrics.launched,
@@ -269,22 +272,25 @@ class ServeApp:
                 failures=metrics.failed,
                 retries=metrics.retries,
             )
+            asyncio.run_coroutine_threadsafe(
+                job.publish("progress", **snapshot), loop
+            )
 
-        results, metrics = await run_tasks_async(
+        sweep = functools.partial(
+            run_tasks,
             tasks,
             discrete=self.discrete,
             heterogeneous=self.heterogeneous,
-            options=options,
+            options=self._options(job),
             jobs=self.config.jobs,
             cache=self.cache,
             metrics_registry=self.metrics_registry,
-            policy=policy,
-            executor=self._executor,
-            chunk_size=self._chunk_size(),
-            progress=progress,
+            policy=self._policy(),
             backend=self.config.backend,
             hosts=self.config.hosts,
+            progress=progress,
         )
+        results, metrics = await loop.run_in_executor(self._executor, sweep)
         self.stats["computed_runs"] += metrics.launched
         self.stats["warm_runs"] += metrics.cache_hits
         self.stats["failed_runs"] += metrics.failed
@@ -324,45 +330,24 @@ class ServeApp:
             },
         }
 
-        if job.spec.kind == KIND_ADVISE and results:
-            advice = await self._render_advice(job, options, policy)
-            if advice is not None:
-                payload["advice"] = advice
+        if job.spec.kind == KIND_ADVISE:
+            spec = specs[0]
+            copy = results.get((spec.full_name, COPY))
+            limited = results.get((spec.full_name, LIMITED))
+            if copy is not None and limited is not None:  # else: failures
+                pair = BenchmarkRun(spec, copy, limited)
+                report = await loop.run_in_executor(
+                    self._executor, advise_pair, pair, self.heterogeneous
+                )
+                payload["advice"] = report.render()
 
         if failures and not results:
             status = FAILED
         elif failures:
-            status = PARTIAL  # the PR 5 partial-sweep contract, HTTP-shaped
+            status = PARTIAL  # the partial-sweep contract, HTTP-shaped
         else:
             status = DONE
         await self.store.finish(job, status, result=payload)
-
-    async def _render_advice(
-        self, job: Job, options: SimOptions, policy: FaultPolicy
-    ) -> Optional[str]:
-        """Advisor text for an advise job; the pair it ranks was computed
-        (and cached) by the sweep dispatch just above, so the runner the
-        advisor drives replays warm results instead of re-simulating."""
-        from repro.experiments import advisor
-        from repro.experiments.runner import SweepError, SweepRunner
-
-        name = job.spec.benchmarks[0]
-        cache_root = self.cache.root if self.cache is not None else None
-
-        def render() -> Optional[str]:
-            runner = SweepRunner(
-                options=options,
-                parallel=1,
-                cache_dir=cache_root,
-                fault_policy=policy,
-            )
-            try:
-                return advisor.advise_benchmark(name, runner).render()
-            except SweepError:
-                return None  # failures already reported on the job
-
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(self._executor, render)
 
     # -- HTTP front-end ------------------------------------------------------
 

@@ -367,6 +367,33 @@ class TestRunnerPreflight:
         result = runner.run(get("rodinia/kmeans"), LIMITED)
         assert result.roi_s > 0
 
+    def test_preflight_lints_the_lint_benchmark_shapes(self):
+        from repro.analysis import (
+            default_memo,
+            limited_copy_form,
+            lint_pipeline_memoized,
+            reset_default_memo,
+        )
+        from repro.experiments.runner import SweepRunner
+        from repro.sim.engine import SimOptions
+        from repro.workloads.registry import get
+
+        spec = get("rodinia/kmeans")
+        pipeline = spec.pipeline()
+        shapes = [pipeline, limited_copy_form(pipeline)]
+        assert [s.name for s in shapes] == lint_benchmark(spec).pipelines
+        reset_default_memo()
+        try:
+            SweepRunner(options=SimOptions(scale=1 / 128), preflight=True).pair(spec)
+            memo = default_memo()
+            assert (len(memo), memo.misses) == (2, 2)
+            # serve and `repro lint` memoize exactly these two shapes.
+            for shape in shapes:
+                lint_pipeline_memoized(shape, spec)
+            assert (len(memo), memo.misses, memo.hits) == (2, 2, 2)
+        finally:
+            reset_default_memo()
+
     def test_preflight_memoizes_repeat_lints(self):
         from repro.analysis import default_memo, reset_default_memo
         from repro.experiments.runner import COPY, SweepRunner

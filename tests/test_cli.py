@@ -29,6 +29,27 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["list", "--jobs", "2"],
+            ["show-config", "--scale", "0.5"],
+            ["table2", "--no-cache"],
+            ["fig3", "--jobs", "2"],
+            ["trace", "lonestar/bfs", "--backend", "subprocess"],
+            ["cache", "--no-cache"],
+        ],
+    )
+    def test_commands_reject_flags_they_ignore(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_cache_keeps_cache_dir(self, tmp_path, capsys):
+        assert main(["cache", "--cache-dir", str(tmp_path)]) == 0
+        assert str(tmp_path) in capsys.readouterr().out
+
 
 class TestFaultToleranceFlags:
     def test_flags_parse_with_defaults(self):

@@ -316,43 +316,12 @@ class TestSweepMetricsMerge:
     def _metrics(self, **kwargs) -> SweepMetrics:
         return SweepMetrics(**kwargs)
 
-    def test_merge_takes_max_jobs_not_left_operand(self):
-        left = self._metrics(total=2, jobs=2)
-        right = self._metrics(total=4, jobs=8)
-        left.merge(right)
-        assert left.jobs == 8
-        assert left.total == 6
-        assert left.sweeps == 2
-
-    def test_merge_concatenates_failures_and_counters(self):
-        failure = TaskFailure(
-            benchmark="a/b",
-            version=COPY,
-            error_type="X",
-            message="m",
-            attempts=1,
-            worker_fate=FATE_ALIVE,
-        )
-        left = self._metrics(retries=1, pool_rebuilds=1)
-        right = self._metrics(retries=2, failures=[failure])
-        left.merge(right)
-        assert left.retries == 3
-        assert left.pool_rebuilds == 1
-        assert left.failures == [failure]
-        assert left.failed == 1
-
-    def test_format_line_suppresses_speedup_for_merged_metrics(self):
-        single = self._metrics(
+    def test_format_line_claims_speedup(self):
+        metrics = self._metrics(
             total=4, launched=4, wall_s=2.0, serial_estimate_s=8.0
         )
-        assert "(4.0x)" in single.format_line()
-        merged = self._metrics(
-            total=4, launched=4, wall_s=2.0, serial_estimate_s=8.0
-        )
-        merged.merge(self._metrics(wall_s=1.0, serial_estimate_s=1.0))
-        line = merged.format_line()
-        assert "serial estimate" in line
-        assert "x)" not in line  # no speedup claim across merged sweeps
+        line = metrics.format_line()
+        assert "serial estimate 8.0s (4.0x)" in line
 
     def test_format_line_reports_retries_and_failures(self):
         failure = TaskFailure(

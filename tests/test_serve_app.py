@@ -14,10 +14,12 @@ import multiprocessing
 
 import pytest
 
+from repro.experiments import parallel
 from repro.serve import ServeConfig, ServeHttpError, ServerThread
 
 KMEANS = "rodinia/kmeans"
 BFS = "lonestar/bfs"
+HOTSPOT = "rodinia/hotspot"
 #: Small enough that a benchmark pair simulates in tens of milliseconds.
 SCALE = 1 / 128
 
@@ -139,6 +141,59 @@ class TestJobs:
             body = {"kind": "sweep", "benchmarks": [KMEANS]}  # no scale
             accepted = _run(client.submit(body))
         assert accepted["job"]["scale"] == SCALE
+
+
+class TestOneSweepPerJob:
+    """A job is one supervised sweep, however many runs it holds."""
+
+    def test_sweep_job_starts_one_backend(self, tmp_path, monkeypatch):
+        starts = []
+        create_backend = parallel.create_backend
+
+        def spy(*args, **kwargs):
+            backend = create_backend(*args, **kwargs)
+            start = backend.start
+
+            def counted(workers):
+                starts.append(workers)
+                return start(workers)
+
+            backend.start = counted
+            return backend
+
+        monkeypatch.setattr(parallel, "create_backend", spy)
+        # 6 runs at jobs=2: more than two pool-widths.
+        with ServerThread(_config(tmp_path, jobs=2)) as server:
+            client = server.client()
+
+            async def scenario():
+                accepted = await client.submit(_sweep((KMEANS, BFS, HOTSPOT)))
+                events = await client.events(accepted["id"], timeout_s=120)
+                return events, await client.wait_job(accepted["id"], 10)
+
+            events, final = _run(scenario())
+        assert final["status"] == "done"
+        assert final["result"]["metrics"]["launched"] == 6
+        assert starts == [2]
+        progress = [e["completed"] for e in events if e["event"] == "progress"]
+        assert progress == [1, 2, 3, 4, 5, 6]  # one event per finished run
+        assert events[-1]["event"] == "finished"
+
+    def test_advise_job_never_resimulates_its_pair(self, tmp_path, monkeypatch):
+        calls = []
+        simulate = parallel.simulate
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].name)
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(parallel, "simulate", counted)
+        with ServerThread(_config(tmp_path, no_cache=True)) as server:
+            body = {"kind": "advise", "benchmark": KMEANS, "scale": SCALE}
+            final = _run(server.client().run(body, timeout_s=120))
+        assert final["status"] == "done"
+        assert KMEANS in final["result"]["advice"]
+        assert len(calls) == 2  # copy + limited-copy, once each
 
 
 class TestDedupAndCache:

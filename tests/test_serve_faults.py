@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import asyncio
 
-from repro.experiments.parallel import FATE_CRASHED, FATE_IN_PARENT
+from repro.experiments.parallel import FATE_CRASHED, FATE_IN_PARENT, FaultPolicy
 from repro.serve import ServeConfig, ServerThread
 from repro.testing.faults import FaultRule, injected_faults
 
 KMEANS = "rodinia/kmeans"
 BFS = "lonestar/bfs"
+HOTSPOT = "rodinia/hotspot"
 SCALE = 1 / 128
 
 
@@ -83,6 +84,18 @@ def test_killed_worker_yields_partial_not_a_hang(tmp_path):
         f["worker_fate"] == FATE_CRASHED for f in result["failures"]
     )
     assert result["metrics"]["pool_rebuilds"] >= 1
+
+
+def test_recycle_budget_spans_the_whole_job(tmp_path):
+    """Every attempt kills its worker: the job spends one recycle budget,
+    as ``repro run`` does, however many runs it holds."""
+    with ServerThread(_config(tmp_path, jobs=2)) as server:
+        with injected_faults({"*": FaultRule("kill")}):
+            final = _run_job(server, _sweep(BFS, HOTSPOT, KMEANS))
+    assert final["status"] == "failed"
+    assert len(final["result"]["failures"]) == 6
+    rebuilds = final["result"]["metrics"]["pool_rebuilds"]
+    assert 1 <= rebuilds <= FaultPolicy().max_pool_rebuilds
 
 
 def test_retry_exhaustion_reports_attempts(tmp_path):

