@@ -88,8 +88,8 @@ from repro.experiments.runner import (
     SweepError,
     SweepRunner,
 )
-from repro.sim.engine import SimOptions
-from repro.sim.hierarchy import Component
+from repro.sim.engine import STAGE_MEMO_MODES, SimOptions
+from repro.sim.hierarchy import CACHE_IMPLS, Component
 from repro.sim.resultcache import ResultCache, default_cache_dir
 from repro.config.system import discrete_gpu_system
 from repro.workloads.registry import (
@@ -138,15 +138,13 @@ def _fault_policy(args: argparse.Namespace) -> FaultPolicy:
 
 
 def _hosts(args: argparse.Namespace) -> tuple:
-    if not args.hosts:
-        return ()
-    return tuple(h.strip() for h in args.hosts.split(",") if h.strip())
+    hosts = tuple(h.strip() for h in (args.hosts or "").split(",") if h.strip())
+    if args.backend == "ssh" and not hosts:
+        raise SystemExit("repro: --backend ssh requires --hosts H1,H2,...")
+    return hosts
 
 
 def _runner(args: argparse.Namespace) -> SweepRunner:
-    hosts = _hosts(args)
-    if args.backend == "ssh" and not hosts:
-        raise SystemExit("repro: --backend ssh requires --hosts H1,H2,...")
     return SweepRunner(
         options=_options(args),
         parallel=args.jobs,
@@ -155,13 +153,13 @@ def _runner(args: argparse.Namespace) -> SweepRunner:
         preflight=args.preflight,
         fault_policy=_fault_policy(args),
         backend=args.backend,
-        hosts=hosts,
+        hosts=_hosts(args),
     )
 
 
 def _report_failures(runner: SweepRunner) -> int:
     """Print outstanding task failures; exit status for the command."""
-    failures = runner.metrics_registry.failures
+    failures = runner.failures
     if not failures:
         return 0
     print(f"sweep: {len(failures)} task(s) failed:", file=sys.stderr)
@@ -373,23 +371,19 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.serve import ServeApp, ServeConfig
 
-    backend = getattr(args, "backend", "local")
-    hosts = _hosts(args)
-    if backend == "ssh" and not hosts:
-        raise SystemExit("repro: --backend ssh requires --hosts H1,H2,...")
     config = ServeConfig(
         host=args.host,
         port=args.port,
         jobs=args.jobs,
         concurrency=args.concurrency,
-        cache_dir=getattr(args, "cache_dir", None),
-        no_cache=getattr(args, "no_cache", False),
+        cache_dir=args.cache_dir,
+        no_cache=args.no_cache,
         default_scale=args.default_scale,
         max_retries=args.max_retries,
         task_timeout_s=args.task_timeout,
         lint=not args.no_lint,
-        backend=backend,
-        hosts=hosts,
+        backend=args.backend,
+        hosts=_hosts(args),
     )
     app = ServeApp(config)
 
@@ -591,8 +585,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
     from repro.sim.engine import simulate
     from repro.sim.observe import (
         InvariantMonitor,
+        JsonlSink,
         TraceRecorder,
-        event_to_dict,
         write_chrome_trace,
     )
     from repro.sim.timeline import render_trace_timeline
@@ -630,8 +624,10 @@ def cmd_trace(args: argparse.Namespace) -> int:
     else:
         system = discrete_gpu_system()
 
+    # JSONL streams straight to the file; the other outputs need the events.
+    jsonl = JsonlSink(args.output) if args.output and args.format == "jsonl" else None
     recorder = TraceRecorder()
-    sinks = [recorder]
+    sinks = [jsonl or recorder]
     monitor = None
     if not args.no_check:
         monitor = InvariantMonitor(mode="record")
@@ -641,24 +637,18 @@ def cmd_trace(args: argparse.Namespace) -> int:
     result = simulate(pipeline, system, _options(args), sinks=sinks)
 
     label = f"{spec.full_name} [{args.system}]"
-    if args.output:
-        if args.format == "jsonl":
-            import json as _json
-
-            with open(args.output, "w", encoding="utf-8") as handle:
-                for event in recorder.events:
-                    _json.dump(event_to_dict(event), handle, separators=(",", ":"))
-                    handle.write("\n")
-        else:
-            write_chrome_trace(
-                args.output,
-                recorder.events,
-                name=label,
-                other_data={
-                    "system": result.system_kind,
-                    "roi_s": result.roi_s,
-                },
-            )
+    if jsonl is not None:
+        print(f"wrote {jsonl.events_written} events to {args.output}")
+    elif args.output:
+        write_chrome_trace(
+            args.output,
+            recorder.events,
+            name=label,
+            other_data={
+                "system": result.system_kind,
+                "roi_s": result.roi_s,
+            },
+        )
         print(f"wrote {len(recorder.events)} events to {args.output}")
     else:
         print(render_trace_timeline(recorder.events, title=label))
@@ -842,7 +832,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0, help="trace seed")
         p.add_argument(
             "--engine",
-            choices=("reference", "fast"),
+            choices=tuple(CACHE_IMPLS),
             default="fast",
             help="cache-simulation implementation (default: fast, the "
             "vectorized engine; 'reference' opts back into the "
@@ -850,7 +840,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--stage-memo",
-            choices=("auto", "on", "off"),
+            choices=STAGE_MEMO_MODES,
             default="auto",
             help="stage-level memoization: replay repeated (stage, cache "
             "state) executions instead of re-simulating them; 'auto' "
@@ -1013,7 +1003,7 @@ def build_parser() -> argparse.ArgumentParser:
         "subset (metric keys stay comparable to a full baseline)")
     bench_p.add_argument(
         "--stage-memo",
-        choices=("auto", "on", "off"),
+        choices=STAGE_MEMO_MODES,
         default="auto",
         help="stage-level memoization for the measured runs (default: "
         "auto = on with the fast engine)")

@@ -42,7 +42,6 @@ from repro.experiments.executors import (
 from repro.pipeline.transforms import remove_copies
 from repro.sim.engine import SimOptions, simulate
 from repro.sim.memo import stage_memo_snapshot
-from repro.sim.observe.metrics import MetricsRegistry
 from repro.sim.resultcache import CacheEntry, ResultCache, cache_key, decode_entry_bytes
 from repro.sim.results import SimResult
 from repro.testing.faults import maybe_inject
@@ -316,7 +315,6 @@ class _Supervisor:
     policy: FaultPolicy
     metrics: SweepMetrics
     cache: Optional[ResultCache]
-    registry: Optional[MetricsRegistry]
     inline: InlineBackend
     progress: Optional[Callable[[int, int, SweepMetrics], None]] = None
     results: Dict[Tuple[str, str], SimResult] = field(default_factory=dict)
@@ -334,11 +332,6 @@ class _Supervisor:
         if self.progress is not None:
             m = self.metrics
             self.progress(m.cache_hits + m.launched + m.failed, m.total, m)
-
-    def record(self, task: SweepTask, result: SimResult) -> None:
-        self.results[(task.full_name, task.version)] = result
-        if self.registry is not None:
-            self.registry.record(task.full_name, task.version, result)
 
     def _absorb(self, key: str, data: bytes) -> Optional[CacheEntry]:
         """Decode a remote worker's cache-entry bytes into our cache."""
@@ -365,7 +358,7 @@ class _Supervisor:
                 self.cache.store(key, result, sim_wall_s=outcome.wall_s)
             except OSError:
                 self.metrics.store_errors += 1
-        self.record(state.task, result)
+        self.results[(state.task.full_name, state.task.version)] = result
         m = self.metrics
         m.launched += 1
         m.remote_cache_hits += int(outcome.cache_hit)
@@ -374,8 +367,6 @@ class _Supervisor:
         m.serial_estimate_s += outcome.wall_s
         m.stage_memo_hits += outcome.memo_hits
         m.stage_memo_misses += outcome.memo_misses
-        if self.registry is not None:
-            self.registry.record_stage_memo(outcome.memo_hits, outcome.memo_misses)
         self.report_progress()
         return True
 
@@ -391,13 +382,10 @@ class _Supervisor:
             state.ready_at = time.monotonic() + self.policy.backoff_s(state.attempts)
         else:
             error_type, message, fate, host = charge
-            failure = TaskFailure(
+            self.metrics.failures.append(TaskFailure(
                 state.task.full_name, state.task.version, error_type, message,
                 state.attempts, fate, host,
-            )
-            self.metrics.failures.append(failure)
-            if self.registry is not None:
-                self.registry.record_failure(failure)
+            ))
             self.stop = self.stop or (self.policy.fail_fast and fate != FATE_CANCELLED)
             self.report_progress()
             return
@@ -532,7 +520,6 @@ def run_tasks(
     options: SimOptions,
     jobs: Optional[int] = None,
     cache: Optional[ResultCache] = None,
-    metrics_registry: Optional[MetricsRegistry] = None,
     policy: Optional[FaultPolicy] = None,
     backend: Union[None, str, ExecutorBackend] = None,
     hosts: Sequence[str] = (),
@@ -547,16 +534,16 @@ def run_tasks(
     substrate when the batch pools (``local``, ``subprocess``, ``ssh`` over
     ``hosts``, or a live :class:`ExecutorBackend`).  A failing task is
     retried per ``policy``, then reported on ``metrics.failures``; it
-    never aborts the batch.  ``metrics_registry`` summarizes every result.
-    ``progress(completed, total, metrics)`` is called on the caller's thread
-    once after the cache pass (if the cache answered anything), then once
-    per task the supervisor finishes, done or failed.
+    never aborts the batch.  ``progress(completed, total, metrics)`` is
+    called on the caller's thread once after the cache pass (if the cache
+    answered anything), then once per task the supervisor finishes, done
+    or failed.
     """
     jobs = resolve_jobs(jobs)
     metrics = SweepMetrics(total=len(tasks), jobs=jobs)
     start = time.perf_counter()
     supervisor = _Supervisor(
-        policy or FaultPolicy(), metrics, cache, metrics_registry,
+        policy or FaultPolicy(), metrics, cache,
         InlineBackend({task.full_name: task.spec for task in tasks}), progress,
     )
     # Workers on this machine share the coordinator's cache directory;
@@ -573,7 +560,7 @@ def run_tasks(
             )
             pending.append(_TaskState(task, work))
             continue
-        supervisor.record(task, entry.result)
+        supervisor.results[(task.full_name, task.version)] = entry.result
         metrics.cache_hits += 1
         metrics.serial_estimate_s += entry.sim_wall_s
     if metrics.cache_hits:

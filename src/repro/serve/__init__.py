@@ -16,6 +16,8 @@ The package turns the sweep runner into a long-running service
 * :mod:`repro.serve.loadtest` — the ``repro loadtest`` harness hammering
   a server with concurrent duplicate-and-distinct jobs and reporting
   dedup/latency numbers.
+* :mod:`repro.serve.metrics` — the per-route latency and queue-depth
+  counters behind ``GET /v1/metrics``.
 """
 
 from repro.serve.app import ServeApp, ServeConfig

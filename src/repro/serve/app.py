@@ -15,7 +15,7 @@ Endpoints::
     GET  /v1/jobs/<id>/events    SSE progress stream until terminal
     GET  /v1/cache               ResultCache stats + dedup counters
     GET  /v1/metrics             per-route outer_time percentiles, queue
-                                 depth, sweep-wide trace totals
+                                 depth, dedup counters
     POST /v1/shutdown            graceful shutdown (drains running jobs)
 
 Jobs are validated on submit (``repro lint`` preflight included),
@@ -52,11 +52,11 @@ from repro.experiments.parallel import (
     resolve_jobs,
     run_tasks,
 )
-from repro.experiments.runner import BenchmarkRun
+from repro.experiments.runner import DEFAULT_BENCH_SCALE, BenchmarkRun
 from repro.sim.engine import ENGINE_VERSION, SimOptions
-from repro.sim.observe.metrics import MetricsRegistry, ServiceMetrics
 from repro.sim.resultcache import ResultCache, default_cache_dir
 from repro.serve.jobs import DONE, FAILED, PARTIAL, Job, JobStore
+from repro.serve.metrics import ServiceMetrics
 from repro.serve.schemas import (
     CACHE_SCHEMA,
     HEALTH_SCHEMA,
@@ -79,10 +79,6 @@ _REASONS = {
     422: "Unprocessable Entity",
     500: "Internal Server Error",
 }
-
-#: Default footprint scale for jobs that do not specify one: the same
-#: 1/32 the CLI harness uses (see repro.experiments.runner).
-DEFAULT_SERVE_SCALE = 1 / 32
 
 #: SSE keep-alive interval while a job produces no events.
 SSE_KEEPALIVE_S = 15.0
@@ -109,7 +105,8 @@ class ServeConfig:
     concurrency: int = 2
     cache_dir: Union[None, str, Path] = None  # None = default location
     no_cache: bool = False
-    default_scale: float = DEFAULT_SERVE_SCALE
+    #: Footprint scale of jobs that do not specify one (the CLI's default).
+    default_scale: float = DEFAULT_BENCH_SCALE
     max_retries: int = 2
     task_timeout_s: Optional[float] = None
     #: Run the lint preflight on every submission.
@@ -133,7 +130,6 @@ class ServeApp:
             else ResultCache(self.config.cache_dir or default_cache_dir())
         )
         self.store = JobStore()
-        self.metrics_registry = MetricsRegistry()
         self.service_metrics = ServiceMetrics()
         self.discrete = discrete_gpu_system()
         self.heterogeneous = heterogeneous_processor()
@@ -284,7 +280,6 @@ class ServeApp:
             options=self._options(job),
             jobs=self.config.jobs,
             cache=self.cache,
-            metrics_registry=self.metrics_registry,
             policy=self._policy(),
             backend=self.config.backend,
             hosts=self.config.hosts,
@@ -428,9 +423,11 @@ class ServeApp:
         try:
             length = int(headers.get("content-length", "0"))
         except ValueError:
+            length = -1
+        if length < 0:
             raise _HttpError(
                 400, error_payload("bad-request", "bad Content-Length")
-            ) from None
+            )
         if length > self.config.max_body_bytes:
             raise _HttpError(
                 413,
@@ -612,5 +609,4 @@ class ServeApp:
             "schema": METRICS_SCHEMA,
             "service": self.service_metrics.snapshot(),
             "dedup": dict(self.stats),
-            "sweep_totals": self.metrics_registry.totals(),
         }

@@ -58,7 +58,7 @@ class Job:
     #: Terminal payload: per-run results plus structured failures.
     result: Optional[Dict[str, Any]] = None
     error: Optional[str] = None
-    #: Live waiters (SSE streams, wait=1 polls) — a nonzero count shields
+    #: Live waiters (SSE streams) — a nonzero count shields
     #: the job from store eviction so their terminal replay cannot 404.
     waiters: int = 0
     #: Current-epoch change signal; see the module docstring.
@@ -231,7 +231,7 @@ class JobStore:
         shields keep eviction from racing live readers into a 404:
 
         * jobs with registered ``waiters`` (an SSE stream about to replay
-          the terminal event, a ``wait=1`` poll) are skipped, and
+          the terminal event) are skipped, and
         * jobs inside the ``evict_grace_s`` window after finishing are
           skipped, covering the client that saw "finished" and is about
           to GET the result.

@@ -27,7 +27,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.serve.app import ServeConfig
 from repro.serve.client import ServeClient, ServerThread
-from repro.sim.observe.metrics import percentile
+from repro.serve.metrics import percentile
 
 #: Schema tag of the report dict.
 LOADTEST_SCHEMA = "repro.serve.loadtest/v1"

@@ -36,11 +36,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis import Severity, limited_copy_form, lint_pipeline_memoized
-from repro.sim.engine import ENGINE_VERSION
+from repro.experiments.parallel import LIMITED, VERSIONS
+from repro.sim.engine import ENGINE_VERSION, STAGE_MEMO_MODES
+from repro.sim.hierarchy import CACHE_IMPLS
 from repro.workloads import registry
 
 #: Schema tags of the serve wire format.
@@ -56,11 +59,6 @@ KIND_SWEEP = "sweep"
 KIND_ADVISE = "advise"
 KINDS = (KIND_SIMULATE, KIND_SWEEP, KIND_ADVISE)
 
-#: Sweep versions (mirrors repro.experiments.parallel).
-VERSION_COPY = "copy"
-VERSION_LIMITED = "limited-copy"
-VERSIONS = (VERSION_COPY, VERSION_LIMITED)
-
 #: Fields a job body may carry; anything else is rejected so typos fail
 #: loudly instead of silently running a default sweep.
 _ALLOWED_FIELDS = frozenset(
@@ -75,9 +73,6 @@ _ALLOWED_FIELDS = frozenset(
         "stage_memo",
     }
 )
-
-_ENGINES = ("reference", "fast")
-_STAGE_MEMO = ("auto", "on", "off")
 
 
 def error_payload(
@@ -175,7 +170,14 @@ def _require_number(
     value = body.get(field, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _invalid(f"{field!r} must be a number, got {value!r}")
-    return float(value)
+    # json.loads admits NaN, Infinity and integers past float range.
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise _invalid(f"{field!r} must be finite, got {value!r}")
+    return number
 
 
 def _require_choice(
@@ -250,7 +252,7 @@ def _lint_preflight(spec_names: Tuple[str, ...], versions: Tuple[str, ...]) -> N
         pipeline = spec.pipeline()
         for version in versions:
             shaped = pipeline
-            if version == VERSION_LIMITED:
+            if version == LIMITED:
                 shaped = limited_copy_form(pipeline)
             report = lint_pipeline_memoized(shaped, spec)
             for diag in report.at_least(Severity.ERROR):
@@ -326,8 +328,8 @@ def validate_job(
     seed = body.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise _invalid(f"'seed' must be an integer, got {seed!r}")
-    engine = _require_choice(body, "engine", _ENGINES, "fast")
-    stage_memo = _require_choice(body, "stage_memo", _STAGE_MEMO, "auto")
+    engine = _require_choice(body, "engine", tuple(CACHE_IMPLS), "fast")
+    stage_memo = _require_choice(body, "stage_memo", STAGE_MEMO_MODES, "auto")
 
     if lint:
         _lint_preflight(benchmarks, versions)

@@ -121,6 +121,10 @@ class SimOptions:
     stage_memo: str = "auto"
 
 
+#: Values of :attr:`SimOptions.stage_memo`.
+STAGE_MEMO_MODES = ("auto", "on", "off")
+
+
 class Engine:
     """Executes one pipeline on one system configuration.
 
@@ -165,10 +169,10 @@ class Engine:
             coherent=coherent,
             impl=options.engine_impl,
         )
-        if options.stage_memo not in ("auto", "on", "off"):
+        if options.stage_memo not in STAGE_MEMO_MODES:
             raise ValueError(
                 f"unknown stage_memo {options.stage_memo!r}; "
-                "choose from 'auto', 'on', 'off'"
+                f"choose from {', '.join(map(repr, STAGE_MEMO_MODES))}"
             )
         # Stage-level memoization (repro.sim.memo): process-wide, shared
         # across engine instances, systems, and the copy / limited-copy

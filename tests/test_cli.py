@@ -181,6 +181,33 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "demo/saxpy" in out and "porting changes run time" in out
 
+    def test_trace_jsonl_matches_recorder(self, capsys, tmp_path):
+        import json
+
+        from repro.config.system import discrete_gpu_system
+        from repro.sim.engine import SimOptions, simulate
+        from repro.sim.observe import TraceRecorder, event_to_dict
+        from repro.workloads.registry import get
+
+        path = tmp_path / "bfs.jsonl"
+        argv = ["trace", "lonestar/bfs", "--scale", TINY, "--format", "jsonl"]
+        assert main(argv + ["-o", str(path)]) == 0
+        recorder = TraceRecorder()
+        simulate(
+            get("lonestar/bfs").pipeline(),
+            discrete_gpu_system(),
+            SimOptions(scale=float(TINY)),
+            sinks=[recorder],
+        )
+        expected = [
+            json.dumps(event_to_dict(event), separators=(",", ":"))
+            for event in recorder.events
+        ]
+        assert expected
+        assert path.read_text().splitlines() == expected
+        out = capsys.readouterr().out
+        assert f"wrote {len(expected)} events to {path}" in out
+
 class TestLintCommand:
     """Exit-code contract: 0 clean, 1 findings at/above --fail-on, 2 usage."""
 

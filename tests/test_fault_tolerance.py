@@ -49,7 +49,7 @@ def _tasks(names=NAMES):
     return [SweepTask(get(name), v) for name in names for v in (COPY, LIMITED)]
 
 
-def _run(tasks, *, jobs=2, policy=None, cache=None, registry=None):
+def _run(tasks, *, jobs=2, policy=None, cache=None):
     return run_tasks(
         tasks,
         discrete=discrete_gpu_system(),
@@ -57,7 +57,6 @@ def _run(tasks, *, jobs=2, policy=None, cache=None, registry=None):
         options=_options(),
         jobs=jobs,
         cache=cache,
-        metrics_registry=registry,
         policy=policy,
     )
 
@@ -242,15 +241,10 @@ class TestSweepRunnerIntegration:
             runs = runner.sweep(specs)
         assert sorted(runs) == ["rodinia/kmeans"]  # incomplete pair omitted
         assert len(runner.last_metrics.failures) == 1
-        assert len(runner.metrics_registry.failures) == 1
+        assert runner.failures == runner.last_metrics.failures
         # The successful half of the failed pair is still readable.
         assert runner.try_result(get("lonestar/bfs"), LIMITED) is not None
         assert runner.try_result(get("lonestar/bfs"), COPY) is None
-        # Trace summaries exist for exactly the successful runs.
-        assert len(runner.metrics_registry) == 3
-        totals = runner.metrics_registry.totals()
-        assert totals["failed_runs"] == 1.0
-        assert "FAILED [alive] FaultInjected" in runner.metrics_registry.format_table()
 
     def test_run_raises_sweep_error_with_failures(self):
         spec = get("lonestar/bfs")
@@ -260,10 +254,11 @@ class TestSweepRunnerIntegration:
                 runner.run(spec, COPY)
         assert len(excinfo.value.failures) == 1
         assert excinfo.value.failures[0].error_type == "FaultInjected"
+        assert excinfo.value.failures == runner.failures
 
     def test_failed_task_recovers_on_next_request(self, tmp_path):
         """A failure is not memoized: once the fault clears, re-requesting
-        the pair re-simulates the failed half and clears the registry."""
+        the pair re-simulates the failed half and clears its failure."""
         spec = get("lonestar/bfs")
         runner = SweepRunner(
             options=_options(),
@@ -273,10 +268,10 @@ class TestSweepRunnerIntegration:
         with injected_faults({"lonestar/bfs:copy": FaultRule("raise")}):
             with pytest.raises(SweepError):
                 runner.pair(spec)
-        assert len(runner.metrics_registry.failures) == 1
+        assert len(runner.failures) == 1
         pair = runner.pair(spec)  # fault gone: succeeds
         assert pair.copy is not None
-        assert runner.metrics_registry.failures == []
+        assert runner.failures == []
         # Only the failed half re-ran; the limited version came from memo.
         assert runner.last_metrics.launched == 1
 

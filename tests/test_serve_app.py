@@ -335,7 +335,7 @@ class TestMetricsEndpoint:
             assert stats["outer_s"]["p50"] >= 0
             assert stats["outer_s"]["max"] >= stats["outer_s"]["p50"]
         assert metrics["dedup"]["computed_runs"] == 2
-        assert metrics["sweep_totals"]
+        assert sorted(metrics) == ["dedup", "schema", "service"]
 
 
 class TestHttpErrors:
@@ -348,30 +348,44 @@ class TestHttpErrors:
 
         return _run(scenario())
 
+    @staticmethod
+    def _raw_exchange(server, request: bytes):
+        """Send ``request`` verbatim over a socket; (status, JSON body)."""
+        client = server.client()
+
+        async def scenario():
+            reader, writer = await asyncio.open_connection(
+                client.host, client.port
+            )
+            writer.write(request)
+            await writer.drain()
+            data = await reader.read()
+            writer.close()
+            return data
+
+        head, _, body = _run(scenario()).partition(b"\r\n\r\n")
+        return int(head.split()[1]), json.loads(body)
+
     def test_bad_json_golden(self, tmp_path, golden_json):
+        raw = b"{not json"
         with ServerThread(_config(tmp_path)) as server:
-            client = server.client()
+            status, payload = self._raw_exchange(
+                server,
+                b"POST /v1/jobs HTTP/1.1\r\n"
+                b"Content-Type: application/json\r\n"
+                + f"Content-Length: {len(raw)}\r\n\r\n".encode()
+                + raw,
+            )
+        golden_json("serve/bad_json", {"status": status, **payload})
 
-            async def scenario():
-                reader, writer = await asyncio.open_connection(
-                    client.host, client.port
-                )
-                raw = b"{not json"
-                writer.write(
-                    b"POST /v1/jobs HTTP/1.1\r\n"
-                    b"Content-Type: application/json\r\n"
-                    + f"Content-Length: {len(raw)}\r\n\r\n".encode()
-                    + raw
-                )
-                await writer.drain()
-                data = await reader.read()
-                writer.close()
-                return data
-
-            data = _run(scenario())
-        head, _, body = data.partition(b"\r\n\r\n")
-        status = int(head.split()[1])
-        golden_json("serve/bad_json", {"status": status, **json.loads(body)})
+    def test_negative_content_length_is_400(self, tmp_path):
+        with ServerThread(_config(tmp_path)) as server:
+            status, payload = self._raw_exchange(
+                server,
+                b"POST /v1/jobs HTTP/1.1\r\nContent-Length: -1\r\n\r\n",
+            )
+        assert status == 400
+        assert payload["code"] == "bad-request"
 
     def test_unknown_route_golden(self, tmp_path, golden_json):
         with ServerThread(_config(tmp_path)) as server:

@@ -153,6 +153,10 @@ class TestRejections:
             {"kind": "simulate", "benchmark": KMEANS, "version": "v2"},
             {"kind": "sweep", "benchmarks": [KMEANS], "version": "copy"},
             {"kind": "advise", "benchmark": KMEANS, "version": "copy"},
+            # json.loads admits NaN, Infinity and integers past float range.
+            {"kind": "sweep", "benchmarks": [KMEANS], "scale": float("nan")},
+            {"kind": "sweep", "benchmarks": [KMEANS], "scale": float("inf")},
+            {"kind": "sweep", "benchmarks": [KMEANS], "scale": 10**400},
         ],
         ids=lambda body: repr(body)[:48],
     )
