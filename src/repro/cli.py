@@ -27,8 +27,9 @@ invariant monitor attached (docs/TRACING.md): ``--system discrete`` runs
 the copy version on the discrete-GPU machine, ``--system hsa`` the
 limited-copy version on the heterogeneous processor.  ``-o out.json``
 writes a Chrome ``trace_event`` file (open in https://ui.perfetto.dev);
-``--format jsonl`` writes the compact JSONL stream instead.  Exits 1 if
-any conservation invariant was violated, 2 on usage errors.
+``--format jsonl`` writes the compact JSONL stream instead (to stdout when
+``-o`` is omitted).  Exits 1 if any conservation invariant was violated,
+2 on usage errors.
 
 Every simulating command takes ``--scale``/``--seed``/``--engine``/
 ``--stage-memo``.  Those that drive the sweep runner (``run``, ``fig4``-
@@ -61,6 +62,7 @@ command exits with status 3 (partial) instead of 0 (clean).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional
 
@@ -624,8 +626,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
     else:
         system = discrete_gpu_system()
 
-    # JSONL streams straight to the file; the other outputs need the events.
-    jsonl = JsonlSink(args.output) if args.output and args.format == "jsonl" else None
+    # JSONL streams straight to the file (or stdout); the other outputs
+    # need the events.
+    jsonl = JsonlSink(args.output or sys.stdout) if args.format == "jsonl" else None
     recorder = TraceRecorder()
     sinks = [jsonl or recorder]
     monitor = None
@@ -638,7 +641,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
     label = f"{spec.full_name} [{args.system}]"
     if jsonl is not None:
-        print(f"wrote {jsonl.events_written} events to {args.output}")
+        if args.output:
+            print(f"wrote {jsonl.events_written} events to {args.output}")
     elif args.output:
         write_chrome_trace(
             args.output,
@@ -812,6 +816,19 @@ def cmd_all(args: argparse.Namespace) -> int:
     return _report_failures(runner)
 
 
+def _positive_finite(text: str) -> float:
+    """argparse type of a scale factor: a finite number above zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number, got {text!r}"
+        )
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -825,7 +842,7 @@ def build_parser() -> argparse.ArgumentParser:
         """What builds :class:`SimOptions`: every simulating command."""
         p.add_argument(
             "--scale",
-            type=float,
+            type=_positive_finite,
             default=DEFAULT_BENCH_SCALE,
             help="footprint/cache scale factor (1.0 = paper scale)",
         )
@@ -973,7 +990,8 @@ def build_parser() -> argparse.ArgumentParser:
         "limited-copy version on the heterogeneous processor")
     trace_p.add_argument(
         "-o", "--output", default=None,
-        help="output file; omit to print an ASCII timeline instead")
+        help="output file; omit to print an ASCII timeline (or, with "
+        "--format jsonl, the JSONL stream) to stdout instead")
     trace_p.add_argument(
         "--format", choices=("chrome", "jsonl"), default="chrome",
         help="chrome: trace_event JSON for Perfetto/chrome://tracing "
@@ -991,7 +1009,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(docs/BENCHMARKING.md)",
     )
     bench_p.add_argument(
-        "--scale", type=float, default=DEFAULT_BENCH_SCALE,
+        "--scale", type=_positive_finite, default=DEFAULT_BENCH_SCALE,
         help="footprint/cache scale factor (1.0 = paper scale)")
     bench_p.add_argument("--seed", type=int, default=0, help="trace seed")
     bench_p.add_argument(
@@ -1043,7 +1061,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable the persistent result cache (dedup of in-flight "
         "duplicates still applies; warm repeats re-simulate)")
     serve_p.add_argument(
-        "--default-scale", type=float, default=DEFAULT_BENCH_SCALE,
+        "--default-scale", type=_positive_finite, default=DEFAULT_BENCH_SCALE,
         help="scale used by jobs that do not specify one")
     serve_p.add_argument(
         "--max-retries", type=int, default=2, metavar="N",
@@ -1083,7 +1101,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--benchmark", action="append", default=None,
         help="benchmark(s) each sweep job covers (default: rodinia/kmeans)")
     loadtest_p.add_argument(
-        "--scale", type=float, default=1 / 64,
+        "--scale", type=_positive_finite, default=1 / 64,
         help="footprint scale of the jobs (default: 1/64)")
     loadtest_p.add_argument(
         "--warm-requests", type=int, default=20,

@@ -9,8 +9,9 @@ field dicts, enums → values), which already covers every config object;
 decoding rebuilds the typed dataclasses generically from their field
 annotations, so new ``SystemConfig``/``SimOptions`` fields never need
 hand-written codec updates.  A result travels only as the bytes of its
-cache entry (:func:`repro.sim.resultcache.encode_entry_bytes`, base64 on
-the wire), so the coordinator's cache absorbs it verbatim — warm-cache
+cache entry (:func:`repro.sim.resultcache.encode_entry_bytes`: a binary
+columnar envelope with a payload checksum, base64 on the wire), so the
+coordinator's cache validates and absorbs it verbatim — warm-cache
 synchronization — and the entry format has one codec for disk and wire.
 
 Anything malformed — truncated stdout, non-JSON garbage, a foreign schema,

@@ -19,18 +19,36 @@ everything that determines its value:
 
 Keys are the SHA-256 of the canonical JSON (sorted keys, no whitespace) of
 those inputs, which makes them independent of dict insertion order, process
-hash randomization, and restarts.  An entry is a gzip-compressed JSON
-envelope around the lossless ``repro.sim_result/v2-full`` schema of
-:mod:`repro.sim.serialize`.  :func:`encode_entry_bytes` and
-:func:`decode_entry_bytes` are its only codec: the same bytes are the file
-on disk and a remote worker's reply on the executor wire, which the
-coordinator installs verbatim (:meth:`ResultCache.absorb`).  Every write
+hash randomization, and restarts.  An entry is a binary columnar envelope
+(schema ``repro.sweep_cache/v3``):
+
+* the magic tag :data:`ENTRY_MAGIC`;
+* a small length-prefixed JSON header: schema, key, ``sim_wall_s`` and
+  the SHA-256 of the payload;
+* one zlib (level 1) payload: the scalar, stage, busy and launch fields of
+  the lossless ``repro.sim_result/v2-full`` schema of
+  :mod:`repro.sim.serialize` as JSON, an array table, then the raw
+  little-endian bytes of the five off-chip log arrays and the
+  per-component touched-block sets.  Each array is stored in the narrowest
+  integer dtype that holds its range and restored to its canonical dtype
+  on decode.
+
+The off-chip log is more than 99% of an entry, so it stays in its native
+layout instead of round-tripping through JSON int lists.  The codec uses
+only the standard library and numpy, never pickle.
+:func:`encode_entry_bytes` and :func:`decode_entry_bytes` are its only
+codec: the same bytes are the file on disk and a remote worker's reply on
+the executor wire, which the coordinator installs verbatim
+(:meth:`ResultCache.absorb`).  A wrong magic, schema or key, a checksum
+mismatch or any decode error makes an entry a miss, so torn or bit-rotted
+bytes never become a trusted result.  :data:`CACHE_SCHEMA` is part of
+every key, so entries of older schemas are never looked up.  Every write
 goes through one atomic writer (temp file + ``os.replace``), so concurrent
 sweep workers sharing one cache directory cannot corrupt it.
-The v2-full schema is forward-compatible with optional result fields
-(``violations`` from the invariant monitor): entries written before a
-field existed still load, defaulting it — stale *semantics* are instead
-caught by the :data:`~repro.sim.engine.ENGINE_VERSION` tag in the key.
+The v2-full fields are forward-compatible with optional result fields
+(``violations`` from the invariant monitor): a result without one
+defaults it — stale *semantics* are instead caught by the
+:data:`~repro.sim.engine.ENGINE_VERSION` tag in the key.
 
 The default location is ``~/.cache/repro-sweeps``, overridable with the
 ``REPRO_CACHE_DIR`` environment variable or an explicit ``cache_dir``.
@@ -40,28 +58,57 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import gzip
 import hashlib
-import io
 import json
 import os
+import struct
 import tempfile
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, Optional, Union
+from typing import Any, Dict, Iterator, Optional, Sequence, Union
+
+import numpy as np
 
 from repro.config.system import SystemConfig
 from repro.sim.engine import ENGINE_VERSION, SimOptions
 from repro.sim.results import SimResult
-from repro.sim.serialize import result_from_dict, result_to_full_dict
+from repro.sim.serialize import (
+    LOG_DTYPES,
+    TOUCHED_DTYPE,
+    result_from_dict,
+    result_to_full_dict,
+)
 from repro.workloads.spec import BenchmarkSpec
 
 #: Environment variable overriding the default cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 #: Schema tag of the on-disk entry envelope.
-CACHE_SCHEMA = "repro.sweep_cache/v1"
+CACHE_SCHEMA = "repro.sweep_cache/v3"
+
+#: First bytes of every entry; anything else (a gzip-JSON entry of an
+#: older schema, garbage) is a miss.
+ENTRY_MAGIC = b"RPSC\x00v3\n"
+
+#: File suffix of an entry.
+ENTRY_SUFFIX = ".rsc"
+
+#: Suffixes older schemas wrote.  Such files are never loaded, but the
+#: maintenance walkers still list them, so ``repro cache --clear``
+#: reclaims them.
+LEGACY_SUFFIXES = (".json.gz",)
+
+#: Length prefix of the header and of the payload's field JSON.
+_LENGTH = struct.Struct("<I")
+
+#: Storage dtypes of array columns, narrowest first (all little-endian).
+_STORAGE_DTYPES = tuple(
+    np.dtype(code) for code in ("<u1", "<i1", "<u2", "<i2", "<u4", "<i4", "<i8")
+)
+
+#: Elements narrowed and compressed per step when encoding a column.
+_ENCODE_SLICE = 1 << 16
 
 
 def default_cache_dir() -> Path:
@@ -148,52 +195,129 @@ class CacheEntry:
     sim_wall_s: float
 
 
+def _narrowest(array: np.ndarray) -> np.dtype:
+    """The narrowest storage dtype that holds every value of ``array``."""
+    if array.size == 0:
+        return _STORAGE_DTYPES[0]
+    low, high = int(array.min()), int(array.max())
+    for dtype in _STORAGE_DTYPES:
+        info = np.iinfo(dtype)
+        if info.min <= low and high <= info.max:
+            return dtype
+    raise ValueError(f"array values [{low}, {high}] exceed int64")
+
+
 def encode_entry_bytes(key: str, result: SimResult, sim_wall_s: float) -> bytes:
     """The bytes of one entry, on disk and on the executor wire alike."""
-    # ``json.dumps`` uses the C encoder; ``json.dump`` to a stream takes
-    # the interpreted iterencode path, profiled at >3x the cost of the
-    # simulation on a cold sweep.  The envelope and its text are
-    # temporaries, so each is freed as soon as the next form exists.
-    data = json.dumps(
+    fields = result_to_full_dict(result, arrays=True)
+    columns = [
+        (slot, name, array, _narrowest(array))
+        for slot in ("log", "touched_blocks")
+        for name, array in fields.pop(slot).items()
+    ]
+    table = json.dumps(
         {
-            "schema": CACHE_SCHEMA,
-            "key": key,
-            "engine": ENGINE_VERSION,
-            "sim_wall_s": sim_wall_s,
-            "result": result_to_full_dict(result),
+            "result": fields,
+            "arrays": [
+                [slot, name, dtype.str, int(array.size)]
+                for slot, name, array, dtype in columns
+            ],
         },
         separators=(",", ":"),
     ).encode("utf-8")
-    # Level 1: the log arrays compress ~4x either way, and cache writes
-    # must not dominate small-scale sweeps.
-    return gzip.compress(data, compresslevel=1)
+    # Level 1: cache writes must not dominate small-scale sweeps.  Columns
+    # go through the compressor a slice at a time, narrowed as they go, so
+    # neither a joined uncompressed payload nor a whole narrowed copy of a
+    # column ever exists.
+    compressor = zlib.compressobj(1)
+    chunks = [
+        compressor.compress(_LENGTH.pack(len(table))),
+        compressor.compress(table),
+    ]
+    for _slot, _name, array, dtype in columns:
+        for start in range(0, array.size, _ENCODE_SLICE):
+            piece = array[start : start + _ENCODE_SLICE]
+            chunks.append(
+                compressor.compress(np.ascontiguousarray(piece, dtype=dtype))
+            )
+    chunks.append(compressor.flush())
+    return seal_entry(key, chunks, sim_wall_s)
+
+
+def seal_entry(
+    key: str,
+    payload: Sequence[bytes],
+    sim_wall_s: float = 0.0,
+    schema: str = CACHE_SCHEMA,
+) -> bytes:
+    """Frame a compressed payload (given in chunks) as entry bytes: the
+    magic tag, then the JSON header with the payload's SHA-256, then the
+    payload."""
+    digest = hashlib.sha256()
+    for chunk in payload:
+        digest.update(chunk)
+    header = json.dumps(
+        {
+            "schema": schema,
+            "key": key,
+            "sim_wall_s": sim_wall_s,
+            "sha256": digest.hexdigest(),
+        },
+        separators=(",", ":"),
+    ).encode("utf-8")
+    return b"".join([ENTRY_MAGIC, _LENGTH.pack(len(header)), header, *payload])
 
 
 def decode_entry_bytes(key: str, data: bytes) -> Optional[CacheEntry]:
-    """Parse entry bytes (the gzip-JSON envelope) stored under ``key``.
+    """Parse entry bytes (the binary columnar envelope) stored under ``key``.
 
-    Anything torn, foreign, or mis-keyed returns ``None``.  An ``OSError``
-    that is not a gzip format error propagates, so :meth:`ResultCache.load`
-    can tell a transient I/O failure from a damaged entry.
+    A wrong magic, schema or key, a checksum mismatch, or anything that
+    fails to decode returns ``None``.  Decoding does no I/O, so any
+    ``OSError`` :meth:`ResultCache.load` sees came from reading the file.
     """
     try:
-        with gzip.open(io.BytesIO(data), "rt", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        if payload.get("schema") != CACHE_SCHEMA or payload.get("key") != key:
+        view = memoryview(data)
+        if view[: len(ENTRY_MAGIC)] != ENTRY_MAGIC:
+            return None
+        start = len(ENTRY_MAGIC) + _LENGTH.size
+        (header_size,) = _LENGTH.unpack_from(view, len(ENTRY_MAGIC))
+        header = json.loads(bytes(view[start : start + header_size]))
+        if header.get("schema") != CACHE_SCHEMA or header.get("key") != key:
+            return None
+        payload = view[start + header_size :]
+        if hashlib.sha256(payload).hexdigest() != header["sha256"]:
+            return None
+        raw = zlib.decompress(payload)
+        (table_size,) = _LENGTH.unpack_from(raw, 0)
+        offset = _LENGTH.size + table_size
+        table = json.loads(raw[_LENGTH.size : offset])
+        fields = table["result"]
+        fields["log"], fields["touched_blocks"] = {}, {}
+        for slot, name, stored, count in table["arrays"]:
+            stored = np.dtype(stored)
+            if stored not in _STORAGE_DTYPES:
+                return None
+            column = np.frombuffer(raw, dtype=stored, count=count, offset=offset)
+            offset += column.nbytes
+            # Restore the dtype ``result_from_dict`` gives the slot.
+            # ``astype`` copies, so the column owns writeable memory and
+            # the decompressed buffer is freed with this frame.
+            canonical_dtype = LOG_DTYPES[name] if slot == "log" else TOUCHED_DTYPE
+            fields[slot][name] = column.astype(canonical_dtype)
+        if offset != len(raw):
             return None
         return CacheEntry(
-            result=result_from_dict(payload["result"]),
-            sim_wall_s=float(payload.get("sim_wall_s", 0.0)),
+            result=result_from_dict(fields),
+            sim_wall_s=float(header["sim_wall_s"]),
         )
     except (
-        gzip.BadGzipFile,
-        EOFError,
         zlib.error,
-        UnicodeDecodeError,
-        ValueError,  # includes json.JSONDecodeError
+        struct.error,
+        ValueError,  # includes json.JSONDecodeError and UnicodeDecodeError
         KeyError,
         TypeError,
         AttributeError,
+        IndexError,
     ):
         return None
 
@@ -218,7 +342,7 @@ def _write_atomic(path: Path, data: bytes) -> None:
 
 
 class ResultCache:
-    """Filesystem-backed result store; one gzip-JSON file per key.
+    """Filesystem-backed result store; one binary columnar file per key.
 
     Entries are written atomically, so readers never observe torn data,
     and threads or processes may store the same key concurrently (the
@@ -233,14 +357,15 @@ class ResultCache:
 
     def path_for(self, key: str) -> Path:
         # Two-level fan-out keeps directories small for big sweeps.
-        return self.root / key[:2] / f"{key}.json.gz"
+        return self.root / key[:2] / f"{key}{ENTRY_SUFFIX}"
 
     def load(self, key: str) -> Optional[CacheEntry]:
         """Return the stored entry, or None on miss or unreadable file.
 
-        Confirmed-corrupt files (bad gzip stream, truncated data, invalid
-        JSON, foreign schema) are treated as misses and removed, so a
-        damaged cache degrades to re-simulation, never to an error.
+        Confirmed-corrupt files (wrong magic, foreign schema or key,
+        checksum mismatch, truncated or undecodable payload) are treated
+        as misses and removed, so a damaged cache degrades to
+        re-simulation, never to an error.
         Transient I/O failures (``EACCES``, disk hiccups) are misses too,
         but the entry is *kept* — deleting a healthy file because of a
         momentary read error would throw away a finished simulation.
@@ -284,6 +409,7 @@ class ResultCache:
     # -- maintenance ---------------------------------------------------------
 
     def entries(self) -> Iterator[Path]:
+        """Every entry file, current schema and legacy suffixes alike."""
         # A concurrent sweep (or ``clear``) may remove entries and fan-out
         # directories while this iterator walks them; vanished paths are
         # simply skipped rather than crashing the listing.
@@ -295,7 +421,11 @@ class ResultCache:
             return
         for subdir in subdirs:
             try:
-                names = sorted(subdir.glob("*.json.gz"))
+                names = sorted(
+                    path
+                    for suffix in (ENTRY_SUFFIX, *LEGACY_SUFFIXES)
+                    for path in subdir.glob(f"*{suffix}")
+                )
             except OSError:
                 continue
             yield from names

@@ -10,8 +10,9 @@ Two schemas are emitted:
   (:func:`result_to_dict`), derived metrics included, not reconstructible.
 * ``repro.sim_result/v2-full`` — the lossless form
   (:func:`result_to_full_dict` / :func:`result_from_dict`) that round-trips
-  a :class:`SimResult` bit-for-bit; the persistent sweep cache
-  (:mod:`repro.sim.resultcache`) is built on it.
+  a :class:`SimResult` bit-for-bit.  The persistent sweep cache
+  (:mod:`repro.sim.resultcache`) stores its fields, with the log and
+  footprint arrays as binary columns (``result_to_full_dict(arrays=True)``).
 """
 
 from __future__ import annotations
@@ -33,6 +34,29 @@ from repro.pipeline.stage import StageKind
 
 SCHEMA_V1 = "repro.sim_result/v1"
 SCHEMA_FULL = "repro.sim_result/v2-full"
+
+#: Canonical dtype of each off-chip log array, keyed by its ``log`` slot.
+LOG_DTYPES = {
+    "blocks": np.dtype(np.int64),
+    "is_write": np.dtype(bool),
+    "stage": np.dtype(np.int32),
+    "component": np.dtype(np.int8),
+    "logical_of_ordinal": np.dtype(np.int32),
+}
+
+#: Canonical dtype of every per-component ``touched_blocks`` array.
+TOUCHED_DTYPE = np.dtype(np.int64)
+
+
+def _log_arrays(result: SimResult) -> Dict[str, np.ndarray]:
+    """The off-chip log's arrays, keyed by their ``log`` slot."""
+    return {
+        "blocks": result.log_blocks,
+        "is_write": result.log_is_write,
+        "stage": result.log_stage,
+        "component": result.log_component,
+        "logical_of_ordinal": result.logical_of_ordinal,
+    }
 
 
 def result_to_dict(result: SimResult, include_log: bool = False) -> Dict[str, Any]:
@@ -85,11 +109,7 @@ def result_to_dict(result: SimResult, include_log: bool = False) -> Dict[str, An
     }
     if include_log:
         payload["log"] = {
-            "blocks": result.log_blocks.tolist(),
-            "is_write": result.log_is_write.tolist(),
-            "stage": result.log_stage.tolist(),
-            "component": result.log_component.tolist(),
-            "logical_of_ordinal": result.logical_of_ordinal.tolist(),
+            slot: array.tolist() for slot, array in _log_arrays(result).items()
         }
     return payload
 
@@ -120,7 +140,7 @@ def _interval_pairs(intervals) -> list:
     return [[iv.start, iv.end] for iv in intervals]
 
 
-def result_to_full_dict(result: SimResult) -> Dict[str, Any]:
+def result_to_full_dict(result: SimResult, arrays: bool = False) -> Dict[str, Any]:
     """Lossless ``repro.sim_result/v2-full`` form of a result.
 
     Supersets the v1 summary with everything :func:`result_from_dict` needs
@@ -128,8 +148,17 @@ def result_to_full_dict(result: SimResult) -> Dict[str, Any]:
     off-chip log, per-component touched-block sets, FLOP attribution, and
     per-stage ordinals.  JSON floats round-trip exactly (``repr`` encoding),
     so serialize-then-load yields bit-identical results.
+
+    With ``arrays=True`` the ``log`` and ``touched_blocks`` slots hold the
+    result's own ndarrays instead of int lists: the form the binary result
+    cache (:mod:`repro.sim.resultcache`) stores column by column.
+    :func:`result_from_dict` accepts either form.
     """
-    payload = result_to_dict(result, include_log=True)
+    payload = result_to_dict(result)
+    log = _log_arrays(result)
+    payload["log"] = (
+        log if arrays else {slot: array.tolist() for slot, array in log.items()}
+    )
     payload["schema"] = SCHEMA_FULL
     for entry, record in zip(payload["stages"], result.stages):
         entry["ordinal"] = record.ordinal
@@ -140,7 +169,7 @@ def result_to_full_dict(result: SimResult) -> Dict[str, Any]:
     }
     payload["launch_intervals"] = _interval_pairs(result.launch_intervals)
     payload["touched_blocks"] = {
-        component.value: blocks.tolist()
+        component.value: blocks if arrays else blocks.tolist()
         for component, blocks in result.touched_blocks.items()
     }
     payload["flops_by_component"] = {
@@ -211,15 +240,20 @@ def result_from_dict(payload: Dict[str, Any]) -> SimResult:
             Interval(start, end) for start, end in payload["launch_intervals"]
         ],
         line_bytes=int(payload["line_bytes"]),
-        log_blocks=np.asarray(log.get("blocks", []), dtype=np.int64),
-        log_is_write=np.asarray(log.get("is_write", []), dtype=bool),
-        log_stage=np.asarray(log.get("stage", []), dtype=np.int32),
-        log_component=np.asarray(log.get("component", []), dtype=np.int8),
+        log_blocks=np.asarray(log.get("blocks", []), dtype=LOG_DTYPES["blocks"]),
+        log_is_write=np.asarray(
+            log.get("is_write", []), dtype=LOG_DTYPES["is_write"]
+        ),
+        log_stage=np.asarray(log.get("stage", []), dtype=LOG_DTYPES["stage"]),
+        log_component=np.asarray(
+            log.get("component", []), dtype=LOG_DTYPES["component"]
+        ),
         logical_of_ordinal=np.asarray(
-            log.get("logical_of_ordinal", []), dtype=np.int32
+            log.get("logical_of_ordinal", []),
+            dtype=LOG_DTYPES["logical_of_ordinal"],
         ),
         touched_blocks={
-            Component(name): np.asarray(blocks, dtype=np.int64)
+            Component(name): np.asarray(blocks, dtype=TOUCHED_DTYPE)
             for name, blocks in payload["touched_blocks"].items()
         },
         total_flops=float(payload["total_flops"]),

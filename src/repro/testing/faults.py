@@ -26,17 +26,17 @@ Fault modes:
   degrades to a ``raise``.
 
 The module also plants damaged persistent-cache entries (corrupt bytes,
-truncated gzip, foreign schema) to exercise the
+a torn envelope, a foreign schema) to exercise the
 :class:`~repro.sim.resultcache.ResultCache` recovery paths.
 """
 
 from __future__ import annotations
 
-import gzip
 import json
 import multiprocessing
 import os
 import time
+import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -236,10 +236,11 @@ def maybe_inject(benchmark: str, version: str) -> None:
 
 
 def plant_corrupt_entry(cache: "ResultCache", key: str) -> Path:
-    """Overwrite (or create) the entry for ``key`` with non-gzip garbage."""
+    """Overwrite (or create) the entry for ``key`` with garbage that lacks
+    the entry magic."""
     path = cache.path_for(key)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(b"this is not a gzip stream at all")
+    path.write_bytes(b"this is not a cache entry at all")
     return path
 
 
@@ -251,21 +252,21 @@ def plant_truncated_entry(cache: "ResultCache", key: str) -> Path:
         path.write_bytes(data[: max(4, len(data) // 2)])
     else:
         path.parent.mkdir(parents=True, exist_ok=True)
-        from repro.sim.resultcache import CACHE_SCHEMA
+        from repro.sim.resultcache import seal_entry
 
-        payload = gzip.compress(
-            json.dumps({"schema": CACHE_SCHEMA, "key": key}).encode("utf-8")
-        )
-        path.write_bytes(payload[: len(payload) // 2])
+        envelope = seal_entry(key, [zlib.compress(b"{}")])
+        path.write_bytes(envelope[: len(envelope) // 2])
     return path
 
 
 def plant_foreign_schema_entry(cache: "ResultCache", key: str) -> Path:
-    """Write a well-formed gzip-JSON entry with somebody else's schema."""
+    """Write a well-formed entry envelope (right magic and key, valid
+    payload checksum) under somebody else's schema tag."""
+    from repro.sim.resultcache import seal_entry
+
     path = cache.path_for(key)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with gzip.open(path, "wt", encoding="utf-8") as handle:
-        json.dump(
-            {"schema": "somebody.else/v9", "key": key, "result": {}}, handle
-        )
+    path.write_bytes(
+        seal_entry(key, [zlib.compress(b"{}")], schema="somebody.else/v9")
+    )
     return path

@@ -50,6 +50,39 @@ class TestParser:
         assert main(["cache", "--cache-dir", str(tmp_path)]) == 0
         assert str(tmp_path) in capsys.readouterr().out
 
+    def test_cache_counts_and_clears_legacy_entries(self, tmp_path, capsys):
+        """Gzip-JSON files an older cache schema wrote are never loaded,
+        but ``repro cache`` counts them and ``--clear`` reclaims them."""
+        legacy = tmp_path / "ab" / f"{'ab' * 32}.json.gz"
+        legacy.parent.mkdir()
+        legacy.write_bytes(b"\x1f\x8b old entry")
+        assert main(["cache", "--cache-dir", str(tmp_path)]) == 0
+        assert "entries    1\n" in capsys.readouterr().out
+        assert main(["cache", "--cache-dir", str(tmp_path), "--clear"]) == 0
+        assert "cleared 1 cached results" in capsys.readouterr().out
+        assert not legacy.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "rodinia/kmeans", "--scale", "nan"],
+            ["run", "rodinia/kmeans", "--scale", "-1"],
+            ["run", "--scale", "0"],
+            ["trace", "lonestar/bfs", "--scale", "inf"],
+            ["fig4", "--scale", "abc"],
+            ["serve", "--default-scale", "nan"],
+            ["loadtest", "--scale", "-0.5"],
+        ],
+    )
+    def test_scale_must_be_positive_and_finite(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "scale" in err and (
+            "positive finite" in err or "not a number" in err
+        )
+
 
 class TestFaultToleranceFlags:
     def test_flags_parse_with_defaults(self):
@@ -207,6 +240,10 @@ class TestCommands:
         assert path.read_text().splitlines() == expected
         out = capsys.readouterr().out
         assert f"wrote {len(expected)} events to {path}" in out
+
+        # Without -o the same stream goes to stdout, and nothing else does.
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines() == expected
 
 class TestLintCommand:
     """Exit-code contract: 0 clean, 1 findings at/above --fail-on, 2 usage."""

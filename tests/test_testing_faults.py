@@ -1,25 +1,30 @@
 """The fault injector itself, and the cache-damage recovery it drives.
 
 Covers rule targeting/decoding, cross-process attempt counting, the
-parent-process kill guard, and the :class:`ResultCache` promises: damaged
-entries degrade to misses (and are removed), transient I/O errors degrade
-to misses (and are *kept*), and the maintenance walkers survive entries
-vanishing underneath them.
+parent-process kill guard, and the :class:`ResultCache` promises: damaged,
+foreign, mis-keyed and legacy entries degrade to misses (and are removed),
+transient I/O errors degrade to misses (and are *kept*), and the
+maintenance walkers list legacy files and survive entries vanishing
+underneath them.
 """
 
 from __future__ import annotations
 
 import gzip
+import hashlib
 import json
 import os
+import pathlib
+import zlib
 
+import numpy as np
 import pytest
 
 from repro.config.system import discrete_gpu_system
 from repro.experiments.parallel import COPY
 from repro.sim.engine import SimOptions
-from repro.sim.resultcache import ResultCache, cache_key
-from repro.sim.serialize import results_identical
+from repro.sim.resultcache import ENTRY_MAGIC, ResultCache, cache_key
+from repro.sim.serialize import result_to_full_dict, results_identical
 from repro.testing.faults import (
     FAULT_DIR_ENV,
     FAULT_SPEC_ENV,
@@ -153,11 +158,90 @@ class TestCacheDamage:
         def deny(*args, **kwargs):
             raise PermissionError(13, "injected EACCES", str(path))
 
-        monkeypatch.setattr(gzip, "open", deny)
+        monkeypatch.setattr(pathlib.Path, "read_bytes", deny)
         assert cache.load(key) is None  # miss, not crash
         monkeypatch.undo()
         assert path.exists()  # healthy file survived the hiccup
         assert cache.load(key) is not None
+
+    def test_planted_foreign_schema_passes_magic_and_checksum(self, tmp_path):
+        """The foreign-schema helper must exercise the schema check, not
+        fail earlier at the magic tag or the payload checksum."""
+        cache, key, _ = _stored_entry(tmp_path)
+        data = plant_foreign_schema_entry(cache, key).read_bytes()
+        assert data.startswith(ENTRY_MAGIC)
+        start = len(ENTRY_MAGIC) + 4
+        size = int.from_bytes(data[len(ENTRY_MAGIC) : start], "little")
+        header = json.loads(data[start : start + size])
+        assert header["schema"] == "somebody.else/v9"
+        assert header["key"] == key
+        payload = data[start + size :]
+        assert hashlib.sha256(payload).hexdigest() == header["sha256"]
+
+    def test_legacy_gzip_json_entry_is_a_miss_and_removed(self, tmp_path):
+        """An entry of the old gzip-JSON schema at the entry path is never
+        decoded: one decoder, and old files are re-simulated."""
+        cache, key, result = _stored_entry(tmp_path)
+        path = cache.path_for(key)
+        legacy = {
+            "schema": "repro.sweep_cache/v1",
+            "key": key,
+            "sim_wall_s": 0.5,
+            "result": result_to_full_dict(result),
+        }
+        path.write_bytes(gzip.compress(json.dumps(legacy).encode("utf-8")))
+        assert cache.load(key) is None
+        assert not path.exists()
+
+    def test_flipped_payload_byte_is_a_checksum_miss_and_removed(
+        self, tmp_path, monkeypatch
+    ):
+        cache, key, _ = _stored_entry(tmp_path)
+        path = cache.path_for(key)
+        data = bytearray(path.read_bytes())
+        data[-8] ^= 0x01  # the payload is the tail of the entry
+        path.write_bytes(bytes(data))
+        inflated = []
+        real_decompress = zlib.decompress
+        monkeypatch.setattr(
+            zlib,
+            "decompress",
+            lambda *args: inflated.append(1) or real_decompress(*args),
+        )
+        assert cache.load(key) is None
+        assert inflated == []  # rejected by the checksum, before inflating
+        assert not path.exists()
+
+    def test_mis_keyed_entry_is_a_miss(self, tmp_path):
+        cache, key, _ = _stored_entry(tmp_path)
+        other = "e" * 64
+        moved = cache.path_for(other)
+        moved.parent.mkdir(parents=True, exist_ok=True)
+        moved.write_bytes(cache.path_for(key).read_bytes())
+        assert cache.load(other) is None
+        assert not moved.exists()
+        assert cache.absorb(other, cache.path_for(key).read_bytes()) is None
+        assert not moved.exists()
+        assert cache.load(key) is not None
+
+    def test_decoded_arrays_have_canonical_dtypes_and_are_writeable(
+        self, tmp_path
+    ):
+        cache, key, original = _stored_entry(tmp_path)
+        result = cache.load(key).result
+        columns = [
+            (result.log_blocks, np.int64),
+            (result.log_is_write, np.bool_),
+            (result.log_stage, np.int32),
+            (result.log_component, np.int8),
+            (result.logical_of_ordinal, np.int32),
+        ] + [(blocks, np.int64) for blocks in result.touched_blocks.values()]
+        assert result.touched_blocks and len(result.log_blocks)
+        for array, dtype in columns:
+            assert array.dtype == dtype
+            assert array.flags.writeable
+        result.log_blocks[0] += 1  # the caller owns the memory
+        assert not results_identical(result, original)
 
     def test_missing_file_is_a_plain_miss(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
@@ -183,6 +267,22 @@ class TestCacheMaintenanceRaces:
         (cache.root / "aa").mkdir(exist_ok=True)
         (cache.root / "aa" / "notes.md").write_text("also not an entry")
         assert len(cache) == 1
+
+    def test_legacy_files_are_listed_counted_and_cleared(self, tmp_path):
+        """Files an older schema wrote are never loaded, but ``len``,
+        ``size_bytes`` and ``clear`` still see them, so ``repro cache
+        --clear`` reclaims the space."""
+        cache, key, _ = _stored_entry(tmp_path)
+        current = cache.path_for(key)
+        legacy = current.with_name(f"{'d' * 64}.json.gz")
+        legacy.write_bytes(gzip.compress(b'{"schema": "repro.sweep_cache/v1"}'))
+        assert set(cache.entries()) == {current, legacy}
+        assert len(cache) == 2
+        assert cache.size_bytes() == (
+            current.stat().st_size + legacy.stat().st_size
+        )
+        assert cache.clear() == 2
+        assert not legacy.exists() and not current.exists()
 
     def test_entries_on_missing_root(self, tmp_path):
         cache = ResultCache(tmp_path / "never-created")
